@@ -93,7 +93,6 @@ from .solver import (
     verify_structure,
 )
 from .strategies import (
-    AuxDiscreteStrategy,
     CenterBayesRule,
     FollowRule,
     ProtocolSigma,

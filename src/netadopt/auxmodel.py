@@ -18,7 +18,7 @@ import numpy as np
 
 from .common import as_fraction, is_never
 from .signals import SignalModel
-from .strategies import HALF, _aux_action_raw
+from .strategies import HALF, RootStrategySpec, _aux_action_raw
 
 _SUM_TOL = 1e-12
 
@@ -96,25 +96,6 @@ class Mu:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed child-distribution data: {exc}") from exc
         return Mu(grid=grid, mass_high=high, mass_low=low)
-
-
-@dataclass(frozen=True)
-class RootStrategySpec:
-    """One member of the two imitation families, keyed by a switch time r.
-
-    Family 1 copies child 1 unless it adopts by r, in which case child 2 is
-    copied from r on.  Family 2 copies child 1, except that when the
-    children split around r it breaks the tie with its own signal.
-    """
-
-    family: int
-    r: "float | Fraction"
-
-    def __post_init__(self):
-        if self.family not in (1, 2):
-            raise ValueError(f"family must be 1 or 2, got {self.family!r}")
-        if not 0 <= self.r <= 1:
-            raise ValueError("switch time r must lie in [0, 1]")
 
 
 def u_of_mu(mu: Mu):

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .common import NEVER, TruncationError, is_never
+from .common import NEVER, TruncationError, as_fraction, is_never
 from .networks import Network
 from .signals import SignalModel
 
@@ -643,7 +643,7 @@ def delta_bar(b) -> float | Fraction:
     beliefs strictly between 1/2 and 1 give a reachable threshold.  Exact
     inputs give an exact result.
     """
-    if not Fraction(1, 2) < as_exact(b) < 1:
+    if not Fraction(1, 2) < as_fraction(b) < 1:
         raise ValueError("max belief must lie in (1/2, 1)")
     return 2 - 1 / b
 
@@ -655,17 +655,10 @@ def adopt_forced(pi, delta) -> bool:
     pi >= 1 / (2 - delta): waiting costs more in discounting than any
     information could recover.
     """
-    delta = as_exact(delta)
+    delta = as_fraction(delta)
     if not 0 <= delta < 1:
         raise ValueError("discount must lie in [0, 1)")
-    return as_exact(pi) >= 1 / (2 - delta)
-
-
-def as_exact(x):
-    """Lift floats to exact rationals for threshold comparisons."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(str(float(x)))
+    return as_fraction(pi) >= 1 / (2 - delta)
 
 
 def bound_report(

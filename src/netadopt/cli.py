@@ -207,6 +207,12 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
                    "replications")
     network = network_from_spec(config.network)
     model = signal_model_from_spec(config.signal)
+    min_p = config.param("min_p_hat")
+    if min_p is not None:
+        focal = int(config.param("focal_agent", 0))
+        if not 0 <= focal < network.n:
+            raise ConfigError(f"params.focal_agent must be in 0..{network.n - 1}"
+                              f", got {focal}")
     solve_report = None
     if config.strategy == "solve":
         solve_report = solve_equilibrium(network, model, _solve_config(config))
@@ -239,14 +245,9 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
         report["solve"] = {"sweeps": solve_report.sweeps,
                            "horizon_used": solve_report.horizon_used,
                            "checks": _checks_dict(solve_report.checks)}
-        checks = solve_report.checks
-        if checks is not None and not (
-                checks.threshold_form_ok and checks.state_monotone_ok
-                and checks.no_spontaneous_ok is not False):
+        if solve_report.checks is not None and not solve_report.checks.ok:
             ok = False
-    min_p = config.param("min_p_hat")
     if min_p is not None:
-        focal = int(config.param("focal_agent", 0))
         report["min_p_hat"] = float(min_p)
         report["focal_agent"] = focal
         if est.p_hat[focal] < float(min_p):
@@ -261,9 +262,7 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
             checks = verify_structure(network, model, prof,
                                       _solve_config(config))
             report["verify"] = _checks_dict(checks)
-            ok = ok and checks.threshold_form_ok \
-                and checks.state_monotone_ok \
-                and checks.no_spontaneous_ok is not False
+            ok = ok and checks.ok
         else:
             report["verify"] = "skipped: needs <= 8 agents and threshold rules"
     return _Outcome(report=report, ok=ok, csv_rows=rows, plot_rows=plot)
@@ -287,12 +286,7 @@ def _run_solve(config: ExperimentConfig, verify: bool) -> _Outcome:
                        for i, rule in sorted(result.profile.items())}
         if result.converged else None,
     }
-    ok = result.converged
-    checks = result.checks
-    if ok and checks is not None and not (
-            checks.threshold_form_ok and checks.state_monotone_ok
-            and checks.no_spontaneous_ok is not False):
-        ok = False
+    ok = result.converged and (result.checks is None or result.checks.ok)
     return _Outcome(report=report, ok=ok)
 
 

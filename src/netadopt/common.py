@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -55,8 +54,3 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a fraction")
-
-
-def canonical_json(obj) -> str:
-    """Serialize to JSON with sorted keys and no whitespace variance."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -97,6 +97,33 @@ def _normalize_profile(network, profile) -> list:
     return strategies
 
 
+def _is_quiescent(remaining, t, spont, lag, last_cue) -> bool:
+    """True when no remaining agent can adopt at period t or later.
+
+    spont, lag and last_cue are indexed by agent: each strategy's declared
+    spontaneous_until and max_reaction_lag, and the latest adoption period
+    among the agents it observes (-inf before any).
+    """
+    return not any(
+        spont[i] >= t
+        or lag[i] is None
+        or last_cue[i] + lag[i] >= t
+        for i in remaining
+    )
+
+
+def _record_adoptions(network, times, last_cue, adopting, t) -> None:
+    """Record the period-t adoptions in times and in last_cue.
+
+    last_cue[w] becomes t for every agent w that observes an adopter.
+    """
+    for i in adopting:
+        times[i] = t
+        for watcher in network.in_neighbors(i):
+            if t > last_cue[watcher]:
+                last_cue[watcher] = t
+
+
 def run_profile(network, model: SignalModel, profile, horizon: int,
                 rng: np.random.Generator, *, state: str | None = None,
                 atoms=None) -> ActionTrace:
@@ -130,12 +157,7 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
     quiescent_at = None
 
     for t in range(horizon + 1):
-        if remaining and not any(
-            spont[i] >= t
-            or lag[i] is None
-            or last_cue[i] + lag[i] >= t
-            for i in remaining
-        ):
+        if remaining and _is_quiescent(remaining, t, spont, lag, last_cue):
             quiescent_at = t
             break
         adopting = []
@@ -150,11 +172,7 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
             elif p != 0:
                 if rng.random() < float(p):
                     adopting.append(i)
-        for i in adopting:
-            times[i] = t
-            for watcher in network.in_neighbors(i):
-                if t > last_cue[watcher]:
-                    last_cue[watcher] = t
+        _record_adoptions(network, times, last_cue, adopting, t)
         if adopting:
             remaining = [i for i in remaining if is_never(times[i])]
 
@@ -199,7 +217,6 @@ class EstimateReport:
     p_hat: tuple
     ci: tuple          # 1.96 * sqrt(p(1-p)/n), one per agent
     utility: tuple     # NEVER contributes 0
-    utility_censored: tuple  # truncated-run NEVERs excluded from the mean
     truncated_fraction: float
     quiescent_fraction: float
 
@@ -225,13 +242,15 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     """Estimate eventual correctness and discounted utility per agent.
 
     Runs n_reps independent replications; replication r uses a random
-    stream derived from (seed, r), so results are reproducible and
-    independent of scheduling.  jobs > 1 shards replications across
-    processes with a deterministic merge.
+    stream derived from (seed, r), so results are reproducible.  jobs > 1
+    shards replications across processes with a deterministic merge: counts
+    and fractions do not depend on jobs, but the float utility sums are
+    added shard by shard, so utilities can differ in the last bits between
+    job counts.  delta may be a number or a "p/q" string.
     """
     if n_reps <= 0:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
-    deltaf = float(delta)
+    deltaf = float(as_fraction(delta))
     if not 0 < deltaf < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     shards = _shard_ranges(n_reps, jobs)
@@ -250,15 +269,11 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     n = network.n
     correct = sum(p["correct"] for p in partials)
     util = sum(p["util"] for p in partials)
-    util_cens = sum(p["util_cens"] for p in partials)
-    cens_n = sum(p["cens_n"] for p in partials)
     truncated_runs = sum(p["truncated"] for p in partials)
     quiescent_runs = sum(p["quiescent"] for p in partials)
 
     p_hat = correct / n_reps
     ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / n_reps)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cens_mean = np.where(cens_n > 0, util_cens / np.maximum(cens_n, 1), np.nan)
     return EstimateReport(
         n_agents=n,
         n_reps=n_reps,
@@ -268,7 +283,6 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
         p_hat=tuple(float(v) for v in p_hat),
         ci=tuple(float(v) for v in ci),
         utility=tuple(float(v) for v in util / n_reps),
-        utility_censored=tuple(float(v) for v in cens_mean),
         truncated_fraction=truncated_runs / n_reps,
         quiescent_fraction=quiescent_runs / n_reps,
     )
@@ -287,8 +301,6 @@ def _estimate_shard(packed):
     n = network.n
     correct = np.zeros(n, dtype=np.int64)
     util = np.zeros(n, dtype=np.float64)
-    util_cens = np.zeros(n, dtype=np.float64)
-    cens_n = np.zeros(n, dtype=np.int64)
     truncated = 0
     quiescent = 0
     for rep in range(lo, hi):
@@ -299,24 +311,14 @@ def _estimate_shard(packed):
         for i, tau in enumerate(trace.times):
             if flags[i]:
                 correct[i] += 1
-            if is_never(tau):
-                payoff = 0.0
-                censor = trace.truncated
-            else:
-                payoff = (delta ** tau) * (1.0 if high else -1.0)
-                censor = False
-            util[i] += payoff
-            if not censor:
-                util_cens[i] += payoff
-                cens_n[i] += 1
+            if not is_never(tau):
+                util[i] += (delta ** tau) * (1.0 if high else -1.0)
         if trace.truncated:
             truncated += 1
         if trace.quiescent_at is not None:
             quiescent += 1
-    return {
-        "correct": correct, "util": util, "util_cens": util_cens,
-        "cens_n": cens_n, "truncated": truncated, "quiescent": quiescent,
-    }
+    return {"correct": correct, "util": util, "truncated": truncated,
+            "quiescent": quiescent}
 
 
 def outsider_posterior(trace: ActionTrace, adopt_probs) -> float:
@@ -347,7 +349,11 @@ def outsider_posterior(trace: ActionTrace, adopt_probs) -> float:
             total += _LLR_CLAMP
         else:
             total += math.log(num) - math.log(den)
-    return 1.0 / (1.0 + math.exp(-total))
+    try:
+        return 1.0 / (1.0 + math.exp(-total))
+    except OverflowError:
+        # total is below about -709, so 1 + exp(total) rounds to 1.
+        return math.exp(total)
 
 
 def sigma_chain_times(x_bits: np.ndarray, k: int) -> np.ndarray:

@@ -60,15 +60,6 @@ class Network:
             self._adj["in"] = {a: tuple(vs) for a, vs in inc.items()}
         return self._adj["in"][j]
 
-    def undirected_neighbors(self, i: int) -> tuple:
-        if "und" not in self._adj:
-            und = {a: set() for a in self.agents}
-            for u, v in self.edges:
-                und[u].add(v)
-                und[v].add(u)
-            self._adj["und"] = {a: tuple(sorted(vs)) for a, vs in und.items()}
-        return self._adj["und"][i]
-
     def is_undirected(self) -> bool:
         return all((j, i) in self.edges for i, j in self.edges)
 
@@ -89,11 +80,6 @@ class StructureReport:
     ends: int
     max_degree: int
     connected: bool
-    component_reports: tuple = ()
-
-
-def _branching_excess(degrees) -> int:
-    return 1 + sum(max(0, d - 2) for d in degrees)
 
 
 def analyze(network: Network) -> StructureReport:
@@ -111,34 +97,13 @@ def analyze(network: Network) -> StructureReport:
     ends = sum(
         1 for v in network.infinite_leaves if degrees.get(v, 0) == 1
     )
-    comp_reports = []
-    if not connected and network.n > 0:
-        for comp in nx.connected_components(g):
-            comp = set(comp)
-            sub = g.subgraph(comp)
-            comp_degrees = [d for _, d in sub.degree()]
-            comp_reports.append(
-                StructureReport(
-                    is_undirected=network.is_undirected(),
-                    is_tree=nx.is_tree(sub),
-                    branching_excess=_branching_excess(comp_degrees),
-                    ends=sum(
-                        1
-                        for v in network.infinite_leaves
-                        if v in comp and sub.degree(v) == 1
-                    ),
-                    max_degree=max(comp_degrees, default=0),
-                    connected=True,
-                )
-            )
     return StructureReport(
         is_undirected=network.is_undirected(),
         is_tree=is_tree,
-        branching_excess=_branching_excess(degrees.values()),
+        branching_excess=1 + sum(max(0, d - 2) for d in degrees.values()),
         ends=ends,
         max_degree=max(degrees.values(), default=0),
         connected=connected,
-        component_reports=tuple(comp_reports),
     )
 
 

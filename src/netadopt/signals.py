@@ -153,12 +153,6 @@ def sample_atoms(model: SignalModel, state: str, size: int, rng: np.random.Gener
     return rng.choice(model.n_atoms, size=size, p=model._float_probs(state))
 
 
-def sample_belief(model: SignalModel, state: str, rng: np.random.Generator) -> float:
-    """Draw one belief conditional on the state."""
-    idx = int(sample_atoms(model, state, 1, rng)[0])
-    return float(model.float_beliefs()[idx])
-
-
 def combine_beliefs(beliefs: Iterable) -> float:
     """Pool independent-signal beliefs by adding log-odds.
 

@@ -26,7 +26,14 @@ from .common import (
     as_fraction,
     is_never,
 )
-from .engine import DecisionContext, NeighborTimes, run_profile
+from .engine import (
+    DecisionContext,
+    NeighborTimes,
+    _is_quiescent,
+    _normalize_profile,
+    _record_adoptions,
+    run_profile,
+)
 from .networks import (
     Network,
     analyze,
@@ -38,6 +45,9 @@ from .strategies import FollowRule, HALF, Strategy, ThresholdRule, myopic_rule
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Grid of mixing probabilities tried after a best-response cycle.
+MIXING_GRID_STEP = Fraction(1, 64)
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,6 @@ class SolveConfig:
     max_scenarios: int = 200_000
     raise_horizon: bool = False
     max_horizon: int = 24
-    mixing_search: bool = True
-    mixing_grid_step: Fraction = Fraction(1, 64)
 
     def __post_init__(self):
         delta = as_fraction(self.delta)
@@ -70,34 +78,6 @@ class Scenario:
     weight_high: Fraction
     weight_low: Fraction
     times: tuple
-
-
-def _normalize_profile(network, profile) -> dict:
-    if hasattr(profile, "adopt_probability"):
-        return {i: profile for i in network.agents}
-    return {i: profile[i] for i in network.agents}
-
-
-def _last_cue(network, times, agent) -> float:
-    cue = -math.inf
-    for j in network.out_neighbors(agent):
-        tau = times[j]
-        if not is_never(tau) and tau > cue:
-            cue = tau
-    return cue
-
-
-def _can_anyone_act(network, strategies, times, remaining, t) -> bool:
-    for i in remaining:
-        strat = strategies[i]
-        if strat.spontaneous_until >= t:
-            return True
-        lag = strat.max_reaction_lag
-        if lag is None:
-            return True
-        if _last_cue(network, times, i) + lag >= t:
-            return True
-    return False
 
 
 def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
@@ -121,15 +101,15 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
     likelihood_high = [lh for lh, _ in model.atoms]
     likelihood_low = [ll for _, ll in model.atoms]
     beliefs = model.beliefs
+    spont = [s.spontaneous_until for s in strategies]
+    lag = [s.max_reaction_lag for s in strategies]
 
     scenarios = []
 
-    def run_branch(times, remaining, t, factor, atom_of):
+    def run_branch(times, last_cue, remaining, t, factor, atom_of):
         while True:
-            if t > horizon or not remaining:
-                scenarios.append((factor, tuple(times)))
-                return
-            if not _can_anyone_act(network, strategies, times, remaining, t):
+            if (t > horizon or not remaining
+                    or _is_quiescent(remaining, t, spont, lag, last_cue)):
                 scenarios.append((factor, tuple(times)))
                 return
             sure = []
@@ -147,8 +127,7 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
                 elif p != 0:
                     mixers.append((i, p))
             if not mixers:
-                for i in sure:
-                    times[i] = t
+                _record_adoptions(network, times, last_cue, sure, t)
                 if sure:
                     remaining = [i for i in remaining if is_never(times[i])]
                 t += 1
@@ -157,17 +136,19 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
                 raise ValueError(f"{len(mixers)} simultaneous mixers: branch blow-up")
             for bits in itertools.product((False, True), repeat=len(mixers)):
                 sub_factor = factor
-                new_times = list(times)
-                for i in sure:
-                    new_times[i] = t
+                adopting = list(sure)
                 for (i, p), adopt in zip(mixers, bits):
                     if adopt:
-                        new_times[i] = t
+                        adopting.append(i)
                         sub_factor *= p
                     else:
                         sub_factor *= 1 - p
+                new_times = list(times)
+                new_cue = list(last_cue)
+                _record_adoptions(network, new_times, new_cue, adopting, t)
                 new_remaining = [i for i in remaining if is_never(new_times[i])]
-                run_branch(new_times, new_remaining, t + 1, sub_factor, atom_of)
+                run_branch(new_times, new_cue, new_remaining, t + 1,
+                           sub_factor, atom_of)
             return
 
     results = []
@@ -180,7 +161,8 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
             w_low *= likelihood_low[a]
         scenarios.clear()
         remaining = list(actors)
-        run_branch([NEVER] * network.n, remaining, 0, ONE, atom_of)
+        run_branch([NEVER] * network.n, [-math.inf] * network.n, remaining,
+                   0, ONE, atom_of)
         for factor, times in scenarios:
             results.append(Scenario(
                 weight_high=w_high * factor,
@@ -232,13 +214,14 @@ def exact_posterior(network, model: SignalModel, profile, agent: int,
     return top / (top + bot)
 
 
-def _optimal_stopping(network, model: SignalModel, profile, agent: int,
-                      config: SolveConfig):
+def _node_margins(network, model, profile, agent, config):
     """Backward induction for one agent against the never-adopt scenarios.
 
-    Returns (decisions, values): decisions maps (history key, atom) -> bool
-    over reachable pre-adoption histories; values maps atom -> root value in
-    doubled-utility units (the H/L payoff difference scale).
+    Values are exact and in doubled-utility units (the H/L payoff
+    difference scale); a node is worth max(stop, cont).  Returns, for every
+    (history key, atom) over reachable pre-adoption histories, the sign of
+    stop - cont: 1 when stopping is strictly better, -1 when continuing is,
+    0 at indifference.
     """
     scenarios = enumerate_scenarios(
         network, model, profile, config.horizon, frozen=agent,
@@ -246,7 +229,7 @@ def _optimal_stopping(network, model: SignalModel, profile, agent: int,
     delta = config.delta
     atoms = model.atoms
     n_atoms = model.n_atoms
-    decisions = {}
+    margins = {}
 
     def node(t, scen_ids, key):
         weight_high = sum(scenarios[s].weight_high for s in scen_ids)
@@ -254,28 +237,26 @@ def _optimal_stopping(network, model: SignalModel, profile, agent: int,
         disc = delta ** t
         stop = [disc * (atoms[a][0] * weight_high - atoms[a][1] * weight_low)
                 for a in range(n_atoms)]
-        if t >= config.horizon:
-            cont = [ZERO] * n_atoms
-        else:
+        cont = [ZERO] * n_atoms
+        if t < config.horizon:
             groups = {}
             for s in scen_ids:
-                child_key = observed_history(network, agent, scenarios[s].times, t + 1)
-                groups.setdefault(child_key, []).append(s)
-            cont = [ZERO] * n_atoms
-            for child_key, members in sorted(groups.items()):
-                child_vals = node(t + 1, members, child_key)
+                ck = observed_history(network, agent, scenarios[s].times, t + 1)
+                groups.setdefault(ck, []).append(s)
+            for ck, members in sorted(groups.items()):
+                child_vals = node(t + 1, members, ck)
                 for a in range(n_atoms):
                     cont[a] += child_vals[a]
         vals = []
         for a in range(n_atoms):
-            adopt = stop[a] >= cont[a]
-            decisions[(key, a)] = adopt
-            vals.append(stop[a] if adopt else cont[a])
+            # Keep only the sign: exact margins for every history would sit
+            # in memory next to the scenario list.
+            margins[(key, a)] = (stop[a] > cont[a]) - (stop[a] < cont[a])
+            vals.append(max(stop[a], cont[a]))
         return vals
 
-    root_key = (0, ())
-    values = node(0, list(range(len(scenarios))), root_key)
-    return decisions, {a: values[a] for a in range(n_atoms)}
+    node(0, list(range(len(scenarios))), (0, ()))
+    return margins
 
 
 def best_response(network, model: SignalModel, profile, agent: int,
@@ -289,13 +270,13 @@ def best_response(network, model: SignalModel, profile, agent: int,
         raise ValueError(
             f"instance size {network.n} exceeds max_agents={config.max_agents}"
         )
-    decisions, _ = _optimal_stopping(network, model, profile, agent, config)
+    margins = _node_margins(network, model, profile, agent, config)
     beliefs = model.beliefs
     order = sorted(range(model.n_atoms), key=lambda a: beliefs[a])
     entries = {}
-    keys = sorted({key for key, _ in decisions})
+    keys = sorted({key for key, _ in margins})
     for key in keys:
-        row = [decisions[(key, a)] for a in order]
+        row = [margins[(key, a)] >= 0 for a in order]
         # Monotone in belief: once an atom adopts, all higher beliefs must.
         first = next((i for i, adopt in enumerate(row) if adopt), None)
         if first is None:
@@ -317,6 +298,12 @@ class StructureChecks:
     no_spontaneous_ok: bool | None  # None when the network is not a tree
     violations: tuple = ()
     scenario_count: int = 0
+
+    @property
+    def ok(self) -> bool:
+        """True unless a check failed; a skipped tree check does not fail."""
+        return (self.threshold_form_ok and self.state_monotone_ok
+                and self.no_spontaneous_ok is not False)
 
 
 def verify_structure(network, model: SignalModel, profile,
@@ -465,8 +452,8 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
     Sweeps agents in id order, replacing each strategy with its exact best
     response.  Convergence means the whole profile is exactly unchanged over
     a sweep.  A repeated non-adjacent fingerprint is reported as a cycle;
-    for binary-signal instances a symmetric mixing search on the configured
-    grid is then attempted before giving up.
+    for binary-signal instances a symmetric mixing search on the
+    MIXING_GRID_STEP grid is then attempted before giving up.
     """
     if network.n > config.max_agents:
         raise ValueError(
@@ -479,10 +466,9 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
         base = myopic_rule(model)
         profile = {i: base for i in network.agents}
     else:
-        profile = dict(_normalize_profile(network, initial))
+        profile = dict(enumerate(_normalize_profile(network, initial)))
 
     seen = {_profile_fingerprint(profile): 0}
-    history = [dict(profile)]
     converged = False
     cycle_length = None
     residual = math.inf
@@ -501,11 +487,9 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
             cycle_length = sweep - seen[fp]
             break
         seen[fp] = sweep
-        history.append(dict(profile))
 
     mixed = False
-    if not converged and cycle_length is not None and config.mixing_search \
-            and model.n_atoms == 2:
+    if not converged and cycle_length is not None and model.n_atoms == 2:
         mixed_profile = _symmetric_mixing_search(network, model, config, profile)
         if mixed_profile is not None:
             profile = mixed_profile
@@ -572,13 +556,13 @@ def is_equilibrium(network, model: SignalModel, profile, config: SolveConfig) ->
     beliefs = model.beliefs
     for i in network.agents:
         margins = _node_margins(network, model, profile, i, config)
-        for (key, atom), (stop, cont) in margins.items():
+        for (key, atom), sign in margins.items():
             p = _strategy_prob_at(strategies[i], i, key, atom, beliefs, network)
-            if p == 1 and stop < cont:
+            if p == 1 and sign < 0:
                 return False
-            if p == 0 and stop > cont:
+            if p == 0 and sign > 0:
                 return False
-            if 0 < p < 1 and stop != cont:
+            if 0 < p < 1 and sign != 0:
                 return False
     return True
 
@@ -594,48 +578,9 @@ def _strategy_prob_at(strategy, agent, key, atom, beliefs, network):
     return as_fraction(strategy.adopt_probability(ctx))
 
 
-def _node_margins(network, model, profile, agent, config):
-    """(stop, cont) value pair per (history key, atom), exact."""
-    scenarios = enumerate_scenarios(
-        network, model, profile, config.horizon, frozen=agent,
-        max_scenarios=config.max_scenarios)
-    delta = config.delta
-    atoms = model.atoms
-    n_atoms = model.n_atoms
-    margins = {}
-
-    def node(t, scen_ids, key):
-        weight_high = sum(scenarios[s].weight_high for s in scen_ids)
-        weight_low = sum(scenarios[s].weight_low for s in scen_ids)
-        disc = delta ** t
-        stop = [disc * (atoms[a][0] * weight_high - atoms[a][1] * weight_low)
-                for a in range(n_atoms)]
-        if t >= config.horizon:
-            cont = [ZERO] * n_atoms
-        else:
-            groups = {}
-            for s in scen_ids:
-                ck = observed_history(network, agent, scenarios[s].times, t + 1)
-                groups.setdefault(ck, []).append(s)
-            cont = [ZERO] * n_atoms
-            for ck, members in sorted(groups.items()):
-                child_vals = node(t + 1, members, ck)
-                for a in range(n_atoms):
-                    cont[a] += child_vals[a]
-        vals = []
-        for a in range(n_atoms):
-            margins[(key, a)] = (stop[a], cont[a])
-            vals.append(max(stop[a], cont[a]))
-        return vals
-
-    node(0, list(range(len(scenarios))), (0, ()))
-    return margins
-
-
 def _symmetric_mixing_search(network, model, config, profile):
     """Try symmetric mixing at the entries where the cycle disagrees."""
-    step = config.mixing_grid_step
-    grid = [step * j for j in range(1, int(1 / step))]
+    grid = [MIXING_GRID_STEP * j for j in range(1, int(1 / MIXING_GRID_STEP))]
     base = {i: profile[i] for i in network.agents}
     for m in grid:
         candidate = {}

@@ -293,38 +293,23 @@ class ProtocolSigma(Strategy):
 
 
 @dataclass(frozen=True)
-class AuxDiscreteStrategy:
-    """Declarative two-child root rule: family, cutoff time r, and delta.
+class RootStrategySpec:
+    """One member of the two imitation families, keyed by a switch time r.
 
-    r must lie on the geometric grid {1 - delta**n} union {1}; off-grid
-    values snap down to the previous grid point with a warning.  Family 1
-    adopts right after the first child when that child is late (past r),
-    and otherwise waits for the second child or the cutoff, whichever is
-    later.  Family 2 adopts at the cutoff exactly when the first child is
-    late, the second child was early, and its own belief favors the high
-    state strictly; otherwise it shadows the first child.
+    Family 1 copies child 1 unless it adopts by r, in which case child 2 is
+    copied from r on.  Family 2 copies child 1, except that when the
+    children split around r it breaks the tie with its own signal.  r is
+    kept exactly as given, float or Fraction.
     """
 
     family: int
-    r: Fraction
-    delta: Fraction
+    r: "float | Fraction"
 
     def __post_init__(self):
         if self.family not in (1, 2):
             raise ValueError(f"family must be 1 or 2, got {self.family!r}")
-        delta = as_fraction(self.delta)
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
-        r = as_fraction(self.r)
-        if not 0 <= r <= 1:
-            raise ValueError(f"cutoff r must be in [0, 1], got {self.r!r}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def cutoff_period(self):
-        """Grid index m with r = 1 - delta**m; NEVER when r = 1."""
-        return grid_index_of_time(self.r, self.delta)
+        if not 0 <= self.r <= 1:
+            raise ValueError("switch time r must lie in [0, 1]")
 
 
 def grid_index_of_time(r, delta):
@@ -394,20 +379,38 @@ def continuous_time_to_period(a, delta):
 
 @dataclass(frozen=True)
 class AuxRootRule(Strategy):
-    """Executable form of AuxDiscreteStrategy for a root observing two children.
+    """Family rule of a root observing two children, on the discrete clock.
 
-    The rule never peeks at same-period actions: the period-t decision uses
-    child adoptions strictly before t, so every mapped adoption lands one
-    period after the information that triggered it.
+    The switch time spec.r must lie on the geometric grid
+    {1 - delta**n} union {1}; off-grid values snap down to the previous grid
+    point with a warning.  Family 1 adopts right after the first child when
+    that child is late (past r), and otherwise waits for the second child or
+    the cutoff, whichever is later.  Family 2 adopts at the cutoff exactly
+    when the first child is late, the second child was early, and its own
+    belief favors the high state strictly; otherwise it shadows the first
+    child.  The rule never peeks at same-period actions: the period-t
+    decision uses child adoptions strictly before t, so every mapped
+    adoption lands one period after the information that triggered it.
     """
 
-    spec: AuxDiscreteStrategy
+    spec: RootStrategySpec
+    delta: Fraction
+    # Grid index m with r = 1 - delta**m; NEVER when r = 1.
+    cutoff_period: float = field(init=False)
 
     spontaneous_until = -1
 
+    def __post_init__(self):
+        delta = as_fraction(self.delta)
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "cutoff_period",
+                           grid_index_of_time(self.spec.r, delta))
+
     @property
     def max_reaction_lag(self):
-        m = self.spec.cutoff_period
+        m = self.cutoff_period
         return (int(m) + 1) if not is_never(m) else 1
 
     def adopt_probability(self, ctx):
@@ -420,7 +423,7 @@ class AuxRootRule(Strategy):
         c1, c2 = neighbors
         t = ctx.period
         t1, t2 = ctx.times[c1], ctx.times[c2]
-        m = self.spec.cutoff_period  # NEVER encodes r = 1
+        m = self.cutoff_period  # NEVER encodes r = 1
         if self.spec.family == 1:
             if not is_never(t1) and not is_never(m) and t1 > m:
                 fire = t == t1 + 1
@@ -446,11 +449,6 @@ class AuxRootRule(Strategy):
             )
             fire = at_cutoff or (not is_never(t1) and t == t1 + 1)
         return Fraction(1) if fire else Fraction(0)
-
-
-def aux_to_discrete(aux: AuxDiscreteStrategy) -> AuxRootRule:
-    """Executable one-period-lag root rule for a declarative family spec."""
-    return AuxRootRule(spec=aux)
 
 
 @dataclass(frozen=True)
@@ -521,12 +519,9 @@ def strategy_from_spec(spec, model, delta=None):
     if kind == "aux":
         if delta is None and "delta" not in body:
             raise ValueError("aux strategy needs delta")
-        aux = AuxDiscreteStrategy(
-            family=int(body["family"]),
-            r=as_fraction(body["r"]),
-            delta=as_fraction(body.get("delta", delta)),
-        )
-        return aux_to_discrete(aux)
+        spec = RootStrategySpec(family=int(body["family"]),
+                                r=as_fraction(body["r"]))
+        return AuxRootRule(spec=spec, delta=body.get("delta", delta))
     if kind == "center_bayes":
         return CenterBayesRule(model=model, period=int(body.get("period", 1)))
     if kind == "threshold_table_text":

@@ -43,10 +43,9 @@ from netadopt.networks import Network, build_directed_tree, build_line, build_st
 from netadopt.signals import binary_model
 from netadopt.solver import SolveConfig, solve_equilibrium, verify_spontaneous_example
 from netadopt.strategies import (
-    AuxDiscreteStrategy,
+    AuxRootRule,
     CenterBayesRule,
     ThresholdRule,
-    aux_to_discrete,
     myopic_rule,
 )
 
@@ -319,7 +318,7 @@ def test_acceptance_6_information_ceiling_on_rooted_paths():
 def _two_layer_value(model, family: int, r: Fraction, delta: Fraction):
     """Exact H-minus-L discounted value of the root's imitation strategy."""
     net = Network(n=3, edges=frozenset({(0, 1), (0, 2)}))
-    root = aux_to_discrete(AuxDiscreteStrategy(family=family, r=r, delta=delta))
+    root = AuxRootRule(spec=RootStrategySpec(family=family, r=r), delta=delta)
     profile = {0: root, 1: myopic_rule(model), 2: myopic_rule(model)}
     total = Fraction(0)
     for atoms in product(range(2), repeat=3):

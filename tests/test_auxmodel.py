@@ -22,7 +22,7 @@ from netadopt.common import NEVER, STATE_HIGH, is_never
 from netadopt.engine import run_profile
 from netadopt.networks import Network
 from netadopt.signals import binary_model
-from netadopt.strategies import AuxDiscreteStrategy, aux_to_discrete, myopic_rule
+from netadopt.strategies import AuxRootRule, myopic_rule
 
 Q = Fraction(3, 4)
 MODEL = binary_model(Q)
@@ -206,7 +206,7 @@ def _two_layer_value(family: int, r, delta: Fraction) -> Fraction:
     enumerated with its exact joint likelihood under each state.
     """
     net = Network(n=3, edges=frozenset({(0, 1), (0, 2)}))
-    root = aux_to_discrete(AuxDiscreteStrategy(family=family, r=r, delta=delta))
+    root = AuxRootRule(spec=RootStrategySpec(family=family, r=r), delta=delta)
     profile = {0: root, 1: myopic_rule(MODEL), 2: myopic_rule(MODEL)}
     total = Fraction(0)
     for combo in itertools.product(range(2), repeat=3):

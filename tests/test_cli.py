@@ -327,6 +327,39 @@ def test_outsider_kind_reports_a_posterior(tmp_path):
     assert len(report["times"]) == 4
 
 
+def test_outsider_kind_on_a_large_star_exits_cleanly(tmp_path):
+    # Thousands of holdouts push the log-odds far past exp's float range.
+    payload = {
+        "kind": "outsider",
+        "seed": 2,
+        "network": {"star": {"leaves": 3000}},
+        "signal": {"binary": 0.75},
+        "horizon": 0,
+    }
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out=out) == 0
+    report = read_json(out, "results.json")
+    assert 0.0 <= report["posterior"] <= 1.0
+
+
+def test_simulate_accepts_fraction_string_delta(tmp_path):
+    payload = simulate_config()
+    payload["delta"] = "9/10"
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out=out) == 0
+    assert read_json(out, "results.json")["delta"] == 0.9
+
+
+def test_simulate_rejects_out_of_range_focal_agent(tmp_path, capsys):
+    payload = simulate_config()
+    payload["params"] = {"min_p_hat": 0.5, "focal_agent": 7}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(cfg, out=tmp_path / "out") == 2
+    assert "focal_agent" in capsys.readouterr().err
+
+
 def test_config_rejects_non_object_payload(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")

@@ -6,6 +6,7 @@ import pytest
 
 from netadopt.common import NEVER, STATE_HIGH, STATE_LOW, StrategyViolationError, is_never
 from netadopt.engine import (
+    ActionTrace,
     adjudicate,
     estimate,
     outsider_posterior,
@@ -14,9 +15,10 @@ from netadopt.engine import (
     sigma_ring_estimate,
     sigma_ring_times,
 )
-from netadopt.networks import build_line
+from netadopt.networks import build_line, build_star
 from netadopt.signals import binary_model, sample_atoms
-from netadopt.strategies import FollowRule, ProtocolSigma, Strategy, myopic_rule
+from netadopt.strategies import (CenterBayesRule, FollowRule, ProtocolSigma,
+                                 Strategy, myopic_rule)
 
 Q = Fraction(3, 4)
 MODEL = binary_model(Q)
@@ -105,6 +107,30 @@ def test_estimate_deterministic_and_jobs_merge():
         assert abs(p - 0.75) < 3 * ci + 1e-9
 
 
+def test_estimate_jobs_merge_with_late_adopter():
+    # The hub adopts at period 1, so payoffs are not all +-1 and the float
+    # utility sums depend on the order shards are added in.
+    net = build_star(20)
+    profile = {0: CenterBayesRule(model=MODEL, period=1)}
+    profile.update({i: myopic_rule(MODEL) for i in range(1, 21)})
+    kwargs = dict(horizon=2, delta=0.9, n_reps=2001, seed=7)
+    r1 = estimate(net, MODEL, profile, jobs=1, **kwargs)
+    r2 = estimate(net, MODEL, profile, jobs=2, **kwargs)
+    assert r2.p_hat == r1.p_hat
+    assert r2.ci == r1.ci
+    assert r2.truncated_fraction == r1.truncated_fraction
+    assert r2.quiescent_fraction == r1.quiescent_fraction
+    for u1, u2 in zip(r1.utility, r2.utility):
+        assert abs(u1 - u2) <= 1e-12
+
+
+def test_estimate_accepts_fraction_string_delta():
+    net = build_line(3)
+    kwargs = dict(horizon=4, n_reps=40, seed=7)
+    assert (estimate(net, MODEL, myopic_rule(MODEL), delta="9/10", **kwargs)
+            == estimate(net, MODEL, myopic_rule(MODEL), delta=0.9, **kwargs))
+
+
 def test_estimate_utilities_signs():
     net = build_line(1)
     rep = estimate(net, MODEL, myopic_rule(MODEL), horizon=2, delta=0.5,
@@ -146,6 +172,20 @@ def test_outsider_posterior_clamps_zero_likelihood():
     with pytest.warns(UserWarning, match="clamped"):
         post = outsider_posterior(trace, [(0.0, 0.5)])
     assert post < 1e-6
+
+
+def test_outsider_posterior_many_holdouts_stays_finite():
+    n = 1000
+    trace = ActionTrace(times=(NEVER,) * n, horizon=0, state=STATE_LOW,
+                        atoms=(1,) * n, beliefs=(0.25,) * n, truncated=False)
+    # 1000 holdouts at q = 3/4 sum to a log-odds of about -1099
+    post = outsider_posterior(trace, [(0.75, 0.25)] * n)
+    assert math.isfinite(post) and 0.0 <= post <= 1.0
+    assert post < 1e-12
+    adopters = ActionTrace(times=(0,) * n, horizon=0, state=STATE_HIGH,
+                           atoms=(0,) * n, beliefs=(0.75,) * n, truncated=False)
+    post = outsider_posterior(adopters, [(0.75, 0.25)] * n)
+    assert math.isfinite(post) and 1.0 - 1e-12 < post <= 1.0
 
 
 # ------------------------------------------------------- protocol closed form

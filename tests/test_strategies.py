@@ -8,13 +8,13 @@ from netadopt.engine import DecisionContext, NeighborTimes
 from netadopt.networks import build_line, build_star
 from netadopt.signals import binary_model
 from netadopt.strategies import (
-    AuxDiscreteStrategy,
+    AuxRootRule,
     CenterBayesRule,
     FollowRule,
     ProtocolSigma,
+    RootStrategySpec,
     ThresholdRule,
     aux_family_action,
-    aux_to_discrete,
     continuous_time_to_period,
     follow_tree_neighbors,
     grid_index_of_time,
@@ -214,8 +214,8 @@ def test_continuous_time_to_period():
 
 
 def test_aux_root_rule_family2_jump():
-    spec = AuxDiscreteStrategy(family=2, r=Fraction(1, 2), delta=Fraction(1, 2))
-    rule = aux_to_discrete(spec)
+    rule = AuxRootRule(spec=RootStrategySpec(family=2, r=Fraction(1, 2)),
+                       delta=Fraction(1, 2))
     net = build_directed_root()
     # cutoff period m = 1; children: first never (late), second at 0 (early)
     times = [NEVER, NEVER, 0]
@@ -234,8 +234,8 @@ def build_directed_root():
 
 
 def test_aux_root_rule_needs_two_children():
-    spec = AuxDiscreteStrategy(family=1, r=Fraction(0), delta=Fraction(1, 2))
-    rule = aux_to_discrete(spec)
+    rule = AuxRootRule(spec=RootStrategySpec(family=1, r=Fraction(0)),
+                       delta=Fraction(1, 2))
     net = build_line(2, directed=True)
     with pytest.raises(ValueError, match="exactly 2 observed children"):
         rule.adopt_probability(ctx_for(net, 1, 1, [0, NEVER], Q))
