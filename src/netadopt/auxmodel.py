@@ -164,8 +164,14 @@ def w_mu(mu: Mu, model: SignalModel, a: RootStrategySpec):
     state-difference removes the utility scale.  That identity is what the
     consistency tests check.
     """
-    r = _snap_r(mu, a.r)
+    return _w_on_grid(mu, a.family, _snap_r(mu, a.r), _signal_split(model))
 
+
+def _w_on_grid(mu: Mu, family: int, r, signal_split):
+    """w_mu for a switch time r that is one of mu's own grid points.
+
+    signal_split is _signal_split of the root's signal model.
+    """
     def mean_one_minus_action(masses, belief_high: bool):
         total = 0
         for t1, m1 in zip(mu.grid, masses):
@@ -174,16 +180,16 @@ def w_mu(mu: Mu, model: SignalModel, a: RootStrategySpec):
             for t2, m2 in zip(mu.grid, masses):
                 if not m2:
                     continue
-                act = _aux_action_raw(a.family, r, t1, t2, belief_high)
+                act = _aux_action_raw(family, r, t1, t2, belief_high)
                 total += m1 * m2 * (1 - act)
         return total
 
     high_branch = mean_one_minus_action(mu.mass_high, True)
     low_branch = mean_one_minus_action(mu.mass_low, True)
-    if a.family == 1:
+    if family == 1:
         # Family 1 never consults the signal; a single branch suffices.
         return high_branch - low_branch
-    p_high, p_low = _signal_split(model)
+    p_high, p_low = signal_split
     high_other = mean_one_minus_action(mu.mass_high, False)
     low_other = mean_one_minus_action(mu.mass_low, False)
     value_high = p_high * high_branch + (1 - p_high) * high_other
@@ -206,20 +212,24 @@ def psi(mu: Mu, model: SignalModel, r_grid: Optional[Sequence] = None) -> PsiRes
     restricting the search to the support loses nothing for atomic
     distributions because the family rules only compare times against r.
     """
+    # Each candidate is matched to the grid's own point once, by exact value.
+    on_grid = {}
+    for g in mu.grid:
+        on_grid.setdefault(as_fraction(g), g)
     if r_grid is None:
         r_grid = mu.grid
-    else:
-        support = {as_fraction(g) for g in mu.grid}
-        missing = [r for r in r_grid if as_fraction(r) not in support]
-        if missing:
-            raise ValueError(f"switch times {missing} are not on the support grid")
+    points = [(r, on_grid.get(as_fraction(r))) for r in r_grid]
+    missing = [r for r, g in points if g is None]
+    if missing:
+        raise ValueError(f"switch times {missing} are not on the support grid")
+    split = _signal_split(model)
     best = None
     for family in (1, 2):
-        for r in r_grid:
-            candidate = RootStrategySpec(family=family, r=r)
-            value = w_mu(mu, model, candidate)
+        for r, g in points:
+            value = _w_on_grid(mu, family, g, split)
             if best is None or value > best.value:
-                best = PsiResult(value=value, argmax=candidate)
+                best = PsiResult(value=value,
+                                 argmax=RootStrategySpec(family=family, r=r))
     return best
 
 

@@ -152,8 +152,10 @@ class CkTable:
     correctness cap implied by big[2 * m + 2] for networks whose excess
     branching number is at most m.  The cap is below one by construction
     but the float representation of pbar rounds to 1.0 once the constants
-    are large, so pbar_log_gap carries ln(1 - pbar) exactly in log space;
-    it is always finite.
+    are large, so pbar_log_gap carries ln(1 - pbar) in log space.  It stays
+    finite only while the table does: the recursion grows factorially and
+    overflows to inf from m = 84 (for any eps tried), after which
+    pbar_log_gap is -inf.
     """
 
     eps: float

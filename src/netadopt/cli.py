@@ -9,8 +9,11 @@ CSV files; the manifest hash depends only on the parsed config value,
 never on whitespace.
 
 Exit codes: 0 success, 2 validation failure (unreadable or invalid
-config, missing seed, parameter regime errors), 3 assertion failure (a
-verified bound or replay check does not hold).
+config, missing seed, parameter regime errors) or an unexpected error,
+3 assertion failure (a verified bound or replay check does not hold).
+Errors are reported on one stderr line, never as a traceback.  The JSON
+artifacts are strict JSON: non-finite floats are written as the strings
+"NaN", "Infinity" and "-Infinity".
 """
 
 from __future__ import annotations
@@ -469,8 +472,8 @@ _HANDLERS = {
 def run(config_path, *, seed=None, out=None, jobs=None, verify=False) -> int:
     """Execute one experiment config and write its artifacts.
 
-    Returns the process exit status: 0 success, 2 validation failure,
-    3 assertion failure.
+    Returns the process exit status: 0 success, 2 validation failure or
+    any other error (reported on one stderr line), 3 assertion failure.
     """
     started = time.monotonic()
     try:
@@ -489,29 +492,55 @@ def run(config_path, *, seed=None, out=None, jobs=None, verify=False) -> int:
         out_dir = Path(out or config.out or "out")
         out_dir.mkdir(parents=True, exist_ok=True)
         outcome = _HANDLERS[config.kind](config, verify)
+        outcome.report["ok"] = outcome.ok
+        _write_artifacts(out_dir, config, raw, outcome, started)
     except (ConfigError, RegimeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the CLI reports one line, never a traceback
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    return 0 if outcome.ok else 3
 
-    outcome.report["ok"] = outcome.ok
-    with open(out_dir / "results.json", "w") as fh:
-        json.dump(outcome.report, fh, indent=2, default=str)
+
+def _strict_json_value(value):
+    """value with every non-finite float replaced by its string name.
+
+    Strict JSON has no NaN or infinity; they are written as the strings
+    "NaN", "Infinity" and "-Infinity", which float() reads back.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _strict_json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json_value(v) for v in value]
+    return value
+
+
+def _write_json(path: Path, value) -> None:
+    with open(path, "w") as fh:
+        json.dump(_strict_json_value(value), fh, indent=2, default=str,
+                  allow_nan=False)
         fh.write("\n")
+
+
+def _write_artifacts(out_dir: Path, config: ExperimentConfig, raw: dict,
+                     outcome: _Outcome, started: float) -> None:
+    _write_json(out_dir / "results.json", outcome.report)
     if outcome.csv_rows is not None:
         _write_csv(out_dir / "results.csv", _CSV_FIELDS, outcome.csv_rows)
     emit_plotdata(outcome.plot_rows or [], out_dir / "plotdata.csv")
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "kind": config.kind,
         "seed": config.seed,
         "config_hash": config_hash(raw),
         "tool_version": _tool_version(),
         "wall_time_s": round(time.monotonic() - started, 3),
         "ok": outcome.ok,
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return 0 if outcome.ok else 3
+    })
 
 
 def main(argv=None) -> int:
@@ -529,9 +558,14 @@ def main(argv=None) -> int:
                         help="run the kind's invariant suite as well")
     args = parser.parse_args(argv)
     jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("SDL_JOBS")
-        jobs = int(env) if env else None
+    env = os.environ.get("SDL_JOBS")
+    if jobs is None and env:
+        try:
+            jobs = int(env)
+        except ValueError:
+            print(f"error: SDL_JOBS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return 2
     return run(args.config, seed=args.seed, out=args.out, jobs=jobs,
                verify=args.verify)
 

@@ -1,11 +1,13 @@
 """Synchronous simulation of irreversible adoption on observation networks.
 
 Periods are integers starting at 0.  In each period every non-adopted agent
-decides simultaneously from its own signal and the adoption times of the
-agents it observes, strictly before the current period.  Adoption is
-irreversible.  A run ends at the horizon or earlier when no remaining agent
-can ever act again (quiescence), in which case the remaining agents' NEVER
-is final rather than a truncation artifact.
+that can still act decides simultaneously from its own signal and the
+adoption times of the agents it observes, strictly before the current
+period; whether it can act follows from its strategy's declared
+spontaneous_until and max_reaction_lag.  Adoption is irreversible.  A run
+ends at the horizon or earlier when no remaining agent can ever act again
+(quiescence), in which case the remaining agents' NEVER is final rather
+than a truncation artifact.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .common import (NEVER, STATE_HIGH, STATE_LOW, StrategyViolationError,
                      as_fraction, is_never)
 from .signals import SignalModel, binary_model, sample_atoms
+from .strategies import _check_protocol_k
 
 _LLR_CLAMP = math.log(1e9)
 
@@ -97,19 +100,17 @@ def _normalize_profile(network, profile) -> list:
     return strategies
 
 
-def _is_quiescent(remaining, t, spont, lag, last_cue) -> bool:
-    """True when no remaining agent can adopt at period t or later.
+def _active_agents(remaining, t, spont, lag, last_cue) -> list:
+    """The remaining agents that may still adopt at period t, in order.
 
     spont, lag and last_cue are indexed by agent: each strategy's declared
     spontaneous_until and max_reaction_lag, and the latest adoption period
-    among the agents it observes (-inf before any).
+    among the agents it observes (-inf before any).  Any other agent would
+    answer 0 now, and stays inactive until a neighbor adopts; when none is
+    active the run is quiescent.
     """
-    return not any(
-        spont[i] >= t
-        or lag[i] is None
-        or last_cue[i] + lag[i] >= t
-        for i in remaining
-    )
+    return [i for i in remaining
+            if spont[i] >= t or lag[i] is None or last_cue[i] + lag[i] >= t]
 
 
 def _record_adoptions(network, times, last_cue, adopting, t) -> None:
@@ -157,11 +158,13 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
     quiescent_at = None
 
     for t in range(horizon + 1):
-        if remaining and _is_quiescent(remaining, t, spont, lag, last_cue):
-            quiescent_at = t
+        active = _active_agents(remaining, t, spont, lag, last_cue)
+        if not active:
+            if remaining:
+                quiescent_at = t
             break
         adopting = []
-        for i in remaining:
+        for i in active:
             ctx = DecisionContext(
                 agent=i, period=t, atom=atoms[i], belief=beliefs[atoms[i]],
                 times=views[i], rng=rng, network=network,
@@ -456,6 +459,7 @@ def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
     """
     if n < 3:
         raise ValueError("ring needs at least three agents")
+    _check_protocol_k(k)
     if n_reps < 1:
         raise ValueError("need at least one replication")
     eta_f = float(eta)

@@ -29,7 +29,7 @@ from .common import (
 from .engine import (
     DecisionContext,
     NeighborTimes,
-    _is_quiescent,
+    _active_agents,
     _normalize_profile,
     _record_adoptions,
     run_profile,
@@ -108,13 +108,14 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
 
     def run_branch(times, last_cue, remaining, t, factor, atom_of):
         while True:
-            if (t > horizon or not remaining
-                    or _is_quiescent(remaining, t, spont, lag, last_cue)):
+            active = (_active_agents(remaining, t, spont, lag, last_cue)
+                      if t <= horizon else [])
+            if not active:
                 scenarios.append((factor, tuple(times)))
                 return
             sure = []
             mixers = []
-            for i in remaining:
+            for i in active:
                 view = NeighborTimes(network.out_neighbors(i), times)
                 ctx = DecisionContext(
                     agent=i, period=t, atom=atom_of[i],

@@ -4,13 +4,18 @@ two-child root rules mapped from continuous adoption scores.
 A strategy answers adopt_probability(ctx) with the chance it adopts in the
 current period, given its own belief and the adoption times of observed
 neighbors strictly before the period.  Strategies are immutable and
-stateless across runs; anything they need they recompute from the context.
-Two declared attributes drive quiescence detection in the engine:
+stateless across runs; anything they need they recompute from the context
+(exact tables a strategy builds from its own parameters are caches, not
+state).  Two declared attributes decide which agents the engine and the
+solver ask in each period, and when a run ends:
 
 - spontaneous_until: last period the strategy might adopt with no neighbor
   having adopted (-1 if it never adopts unprompted).
 - max_reaction_lag: latest adoption is (last neighbor adoption) + lag;
   None if unbounded.
+
+An agent past both limits is not asked at all, so a strategy that
+under-declares them is skipped in periods where it would have adopted.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ class ThresholdRule(Strategy):
 
     entries: dict = field(default_factory=dict)
     label: str = ""
+    # Latest period of any entry (-1 without entries); no history reaches
+    # an entry after it, so it also bounds the reaction lag.
+    spontaneous_until: int = field(init=False, repr=False, compare=False)
+    max_reaction_lag: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = {}
@@ -91,14 +100,9 @@ class ThresholdRule(Strategy):
                 raise ValueError(f"mix_prob {mix} outside [0, 1]")
             norm[(agent, key)] = (thr, mix)
         object.__setattr__(self, "entries", norm)
-
-    @property
-    def spontaneous_until(self) -> int:
-        return max((key[0] for _, key in self.entries), default=-1)
-
-    @property
-    def max_reaction_lag(self) -> int:
-        return max(self.spontaneous_until, 0)
+        last = max((key[0] for _, key in norm), default=-1)
+        object.__setattr__(self, "spontaneous_until", last)
+        object.__setattr__(self, "max_reaction_lag", max(last, 0))
 
     def lookup(self, agent: int, key: tuple):
         hit = self.entries.get((agent, key))
@@ -192,6 +196,16 @@ def follow_tree_neighbors(network, tree=None) -> FollowRule:
     return FollowRule(tree_neighbors=neighbor_map)
 
 
+def _check_protocol_k(k) -> None:
+    """Reject a relay-protocol parameter k outside the protocol's domain.
+
+    The one check shared by the case table, the strategy and the engine's
+    closed form, so all three accept the same k: an int >= 3.
+    """
+    if not isinstance(k, int) or k < 3:
+        raise ValueError(f"invalid protocol parameter: k must be an int >= 3, got {k!r}")
+
+
 def sigma_eta_k_step(tau_prev, k: int, x: int, mid=HALF):
     """One case-table step of the staged line protocol.
 
@@ -202,8 +216,7 @@ def sigma_eta_k_step(tau_prev, k: int, x: int, mid=HALF):
     trigger lands in [(k-1)k, k^2) decodes the relayed fraction against mid,
     and everything at or past k^2 spreads at unit speed.
     """
-    if not isinstance(k, int) or k < 3:
-        raise ValueError(f"invalid protocol parameter: k must be an int >= 3, got {k!r}")
+    _check_protocol_k(k)
     if x not in (0, 1):
         raise ValueError(f"indicator x must be 0 or 1, got {x!r}")
     if is_never(tau_prev):
@@ -243,8 +256,7 @@ class ProtocolSigma(Strategy):
         eta = as_fraction(self.eta)
         if not 0 < eta < 1:
             raise ValueError(f"seed probability eta must be in (0, 1), got {self.eta}")
-        if not isinstance(self.k, int) or self.k < 3:
-            raise ValueError(f"invalid protocol parameter: k must be an int >= 3, got {self.k!r}")
+        _check_protocol_k(self.k)
         if self.orientation not in ("both", "ltr", "rtl"):
             raise ValueError(f"orientation must be both/ltr/rtl, got {self.orientation!r}")
         object.__setattr__(self, "eta", eta)
@@ -464,10 +476,16 @@ class CenterBayesRule(Strategy):
 
     model: object
     period: int = 1
+    # The model's period-0 indicator likelihoods (P[adopt | H], P[adopt | L]).
+    _indicator: tuple = field(init=False, repr=False, compare=False)
+    # Exact verdicts keyed by (atom, observed, adopted), filled on first use.
+    _table: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.period < 0:
             raise ValueError(f"decision period must be >= 0, got {self.period}")
+        object.__setattr__(self, "_indicator", self.model.indicator_probs())
 
     @property
     def spontaneous_until(self) -> int:
@@ -477,18 +495,27 @@ class CenterBayesRule(Strategy):
     def max_reaction_lag(self) -> int:
         return max(self.period, 1)
 
+    def _adopts(self, atom: int, observed: int, adopted: int) -> bool:
+        """Posterior >= 1/2 given the own atom and that adopted of the
+        observed neighbors adopted before the decision period."""
+        key = (atom, observed, adopted)
+        verdict = self._table.get(key)
+        if verdict is None:
+            p_high, p_low = self._indicator
+            lh, ll = self.model.atoms[atom]
+            stayed = observed - adopted
+            odds_h = lh * p_high ** adopted * (1 - p_high) ** stayed
+            odds_l = ll * p_low ** adopted * (1 - p_low) ** stayed
+            verdict = self._table[key] = odds_h >= odds_l
+        return verdict
+
     def adopt_probability(self, ctx):
         if ctx.period != self.period:
             return Fraction(0)
-        p_high, p_low = self.model.indicator_probs()
-        idx = ctx.atom
-        lh, ll = self.model.atoms[idx]
-        odds_h, odds_l = lh, ll
-        for j in ctx.times.neighbors:
-            adopted = ctx.times[j] < ctx.period
-            odds_h *= p_high if adopted else (1 - p_high)
-            odds_l *= p_low if adopted else (1 - p_low)
-        return Fraction(1) if odds_h >= odds_l else Fraction(0)
+        view = ctx.times
+        adopted = len(view.adopted_before(ctx.period))
+        return (Fraction(1) if self._adopts(ctx.atom, len(view.neighbors), adopted)
+                else Fraction(0))
 
 
 def strategy_from_spec(spec, model, delta=None):

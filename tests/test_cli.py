@@ -175,6 +175,39 @@ def test_main_reads_flags_and_jobs_env(tmp_path, monkeypatch):
     assert (base / "results.csv").read_bytes() == (env / "results.csv").read_bytes()
 
 
+def test_non_integer_jobs_env_is_a_validation_failure(tmp_path, monkeypatch,
+                                                     capsys):
+    cfg = write_config(tmp_path, "cfg.json", simulate_config())
+    monkeypatch.setenv("SDL_JOBS", "abc")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "SDL_JOBS" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unexpected_errors_exit_two_on_one_line(tmp_path, monkeypatch, capsys):
+    # A 400-digit eps overflows float(); nothing validates it earlier.
+    big = tmp_path / "big.json"
+    big.write_text('{"kind": "bounds", "seed": 1, "params": {"m": 2, "eps": 1'
+                   + "0" * 400 + "}}")
+    assert main(["--config", str(big), "--out", str(tmp_path / "o1")]) == 2
+    err = capsys.readouterr().err
+    assert "OverflowError" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+    def broken(config, verify):
+        raise RuntimeError("handler failed")
+
+    import netadopt.cli as cli_module
+    monkeypatch.setitem(cli_module._HANDLERS, "bounds", broken)
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"kind": "bounds", "seed": 1,
+                        "params": {"eps": 0.2, "m": 2}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o2")]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: unexpected RuntimeError: handler failed"
+
+
 def test_main_seed_flag_lands_in_manifest(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", simulate_config())
     out = tmp_path / "out"
@@ -195,6 +228,25 @@ def test_bounds_kind_reports_recursion_and_plot_series(tmp_path):
     series = {line.split(",")[0]
               for line in (out / "plotdata.csv").read_text().splitlines()[1:]}
     assert series == {"c_k", "C_k"}
+
+
+def test_bounds_kind_writes_strict_json_past_the_overflow(tmp_path):
+    # The recursion table overflows to inf from m = 84.
+    payload = {"kind": "bounds", "seed": 1, "params": {"eps": 0.2, "m": 200}}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out=out) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    report = json.loads((out / "results.json").read_text(),
+                        parse_constant=reject)
+    assert report["pbar_log_gap"] == "-Infinity"
+    assert report["C_k"]["402"] == "Infinity"
+    assert math.isfinite(report["C_k"]["2"])
+    assert float(report["C_k"]["402"]) == math.inf
 
 
 def test_bounds_kind_chi_violation_exits_three(tmp_path):
@@ -259,6 +311,19 @@ def test_protocol_sigma_verify_replays_the_engine(tmp_path):
     assert 0.0 <= report["p_hat"] <= 1.0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 15
+
+
+def test_protocol_sigma_rejects_a_stride_below_three(tmp_path, capsys):
+    payload = {
+        "kind": "protocol-sigma",
+        "seed": 5,
+        "signal": {"binary": 0.75},
+        "replications": 10,
+        "params": {"n": 14, "k": 2, "eta": 0.25},
+    }
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(cfg, out=tmp_path / "out") == 2
+    assert "k must be an int >= 3" in capsys.readouterr().err
 
 
 def test_solve_kind_reports_thresholds_without_rows(tmp_path):

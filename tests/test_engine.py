@@ -275,6 +275,9 @@ def test_sigma_ring_estimate_deterministic():
 def test_sigma_ring_estimate_validation():
     with pytest.raises(ValueError, match="at least three"):
         sigma_ring_estimate(n=2, k=3, eta=0.1, q=0.75, n_reps=5, seed=0)
+    # the same domain as ProtocolSigma and sigma_eta_k_step
+    with pytest.raises(ValueError, match="k must be an int >= 3"):
+        sigma_ring_estimate(n=5, k=2, eta=0.1, q=0.75, n_reps=5, seed=0)
     with pytest.raises(ValueError, match="eta"):
         sigma_ring_estimate(n=5, k=3, eta=0.0, q=0.75, n_reps=5, seed=0)
     with pytest.raises(ValueError, match="replication"):
