@@ -568,20 +568,22 @@ def _myopic_value(model: SignalModel) -> Fraction:
     return value
 
 
-def _reachable_within(network: Network, agent: int, radius: int) -> set[int]:
-    seen = {agent}
+def _reachable_within(network: Network, agent: int, radius: int) -> dict:
+    """Distance from agent, along observation edges, of every agent at most
+    radius away (agent itself at 0)."""
+    dist = {agent: 0}
     frontier = [agent]
-    for _ in range(radius):
+    for d in range(1, radius + 1):
         nxt = []
         for i in frontier:
             for j in network.out_neighbors(i):
-                if j not in seen:
-                    seen.add(j)
+                if j not in dist:
+                    dist[j] = d
                     nxt.append(j)
         if not nxt:
             break
         frontier = nxt
-    return seen
+    return dist
 
 
 def impatience_bound(
@@ -614,7 +616,7 @@ def impatience_bound(
         radius += 1
         power *= delta_bar_target
     ball = _reachable_within(network, agent, radius)
-    touched = ball & set(network.infinite_leaves)
+    touched = ball.keys() & network.infinite_leaves
     if touched:
         raise TruncationError(
             f"distance-{radius} ball reaches truncation boundary at "

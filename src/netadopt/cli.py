@@ -44,12 +44,15 @@ from .auxmodel import (
     w_mu,
 )
 from .bounds import bound_report
-from .common import RegimeError, as_fraction, is_never
-from .engine import estimate, outsider_posterior, run_profile, sigma_ring_estimate
-from .networks import network_from_spec
-from .signals import signal_model_from_spec
-from .solver import SolveConfig, solve_equilibrium, verify_spontaneous_example
-from .strategies import strategy_from_spec
+from .common import STATE_HIGH, STATE_LOW, RegimeError, as_fraction, is_never
+from .engine import (_replication_rng, estimate, outsider_posterior, run_profile,
+                     sigma_ring_estimate, sigma_ring_times)
+from .networks import build_line, network_from_spec
+from .signals import binary_model, sample_atoms, signal_model_from_spec
+from .solver import (SolveConfig, solve_equilibrium, verify_spontaneous_example,
+                     verify_structure)
+from .strategies import (ProtocolSigma, ThresholdRule, myopic_rule,
+                         strategy_from_spec)
 
 KINDS = ("simulate", "solve", "verify-spontaneous", "bounds", "auxmodel",
          "protocol-sigma", "outsider")
@@ -130,10 +133,16 @@ class ExperimentConfig:
             if getattr(self, name) in (None, {}):
                 raise ConfigError(f"{self.kind} needs config field {name!r}")
 
-    def param(self, name, default=None, required=False):
+    def param(self, name, default=None, required=False, convert=None):
+        """params[name] or default, through convert unless None; a value
+        convert rejects is a ConfigError naming the field."""
         if required and name not in self.params:
             raise ConfigError(f"{self.kind} needs params.{name}")
-        return self.params.get(name, default)
+        value = self.params.get(name, default)
+        try:
+            return value if convert is None or value is None else convert(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"params.{name}: {exc}") from None
 
 
 def config_hash(raw: dict) -> str:
@@ -175,10 +184,9 @@ def _solve_config(config: ExperimentConfig, stabilize_default=True) -> SolveConf
     return SolveConfig(
         delta=as_fraction(config.delta),
         horizon=config.horizon,
-        max_agents=int(config.param("max_agents", 12)),
-        max_sweeps=int(config.param("max_sweeps", 40)),
+        max_sweeps=config.param("max_sweeps", 40, convert=int),
         raise_horizon=bool(config.param("stabilize", stabilize_default)),
-        max_horizon=int(config.param("max_horizon", 24)),
+        max_horizon=config.param("max_horizon", 24, convert=int),
     )
 
 
@@ -210,9 +218,9 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
                    "replications")
     network = network_from_spec(config.network)
     model = signal_model_from_spec(config.signal)
-    min_p = config.param("min_p_hat")
+    min_p = config.param("min_p_hat", convert=float)
     if min_p is not None:
-        focal = int(config.param("focal_agent", 0))
+        focal = config.param("focal_agent", 0, convert=int)
         if not 0 <= focal < network.n:
             raise ConfigError(f"params.focal_agent must be in 0..{network.n - 1}"
                               f", got {focal}")
@@ -251,19 +259,17 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
         if solve_report.checks is not None and not solve_report.checks.ok:
             ok = False
     if min_p is not None:
-        report["min_p_hat"] = float(min_p)
+        report["min_p_hat"] = min_p
         report["focal_agent"] = focal
-        if est.p_hat[focal] < float(min_p):
+        if est.p_hat[focal] < min_p:
             ok = False
     if verify and solve_report is None:
-        from .solver import verify_structure
-        from .strategies import ThresholdRule
         prof = profile if isinstance(profile, dict) else \
             {i: profile for i in network.agents}
         if network.n <= 8 and all(isinstance(s, ThresholdRule)
                                   for s in prof.values()):
             checks = verify_structure(network, model, prof,
-                                      _solve_config(config))
+                                      _solve_config(config, stabilize_default=False))
             report["verify"] = _checks_dict(checks)
             ok = ok and checks.ok
         else:
@@ -301,13 +307,13 @@ def _run_verify_spontaneous(config: ExperimentConfig, verify: bool) -> _Outcome:
 
 
 def _run_bounds(config: ExperimentConfig, verify: bool) -> _Outcome:
-    eps = float(config.param("eps", required=True))
-    m = int(config.param("m", required=True))
-    adopt_probs = config.param("adopt_probs")
-    if adopt_probs is not None:
-        adopt_probs = [(float(p), float(r)) for p, r in adopt_probs]
+    eps = config.param("eps", required=True, convert=float)
+    m = config.param("m", required=True, convert=int)
+    adopt_probs = config.param(
+        "adopt_probs",
+        convert=lambda pairs: [(float(p), float(r)) for p, r in pairs])
     report = bound_report(eps, m, adopt_probs=adopt_probs,
-                          target=float(config.param("target", 0.9)))
+                          target=config.param("target", 0.9, convert=float))
     plot = [{"series": "c_k", "x": int(k), "y": v, "ci": ""}
             for k, v in sorted(report["c_k"].items(), key=lambda kv: int(kv[0]))]
     plot += [{"series": "C_k", "x": int(k), "y": v, "ci": ""}
@@ -357,9 +363,10 @@ def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
             ok = ok and abs(float(w_u - u)) <= 1e-12 \
                 and abs(float(w_zero)) <= 1e-12
         return _Outcome(report=report, ok=ok)
-    eps = float(config.param("eps", required=True))
+    eps = config.param("eps", required=True, convert=float)
     n = config.replications or 1000
-    sampler = default_sampler(delta=float(config.param("sampler_delta", 0.5)))
+    sampler = default_sampler(
+        delta=config.param("sampler_delta", 0.5, convert=float))
     result = estimate_C_eps(eps, model, sampler, n,
                             rng=np.random.default_rng(config.seed))
     report = {
@@ -382,13 +389,12 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
     if not (isinstance(signal, dict) and set(signal) == {"binary"}):
         raise ConfigError("protocol-sigma needs a binary signal spec")
     q = signal["binary"]
-    n = int(config.param("n", 5000))
-    k = int(config.param("k", 50))
-    eta = float(config.param("eta", required=True))
-    agent = config.param("agent")
+    n = config.param("n", 5000, convert=int)
+    k = config.param("k", 50, convert=int)
+    eta = config.param("eta", required=True, convert=float)
     result = sigma_ring_estimate(n, k, eta, q, config.replications,
                                  config.seed,
-                                 agent=None if agent is None else int(agent))
+                                 agent=config.param("agent", convert=int))
     rows = list(result.rows())
     plot = [{"series": "p_hat_by_agent", "x": r["agent"], "y": r["p_hat"],
              "ci": r["ci"]} for r in rows]
@@ -400,16 +406,11 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
         "adopt_rate_low": result.adopt_rate_low,
     }
     ok = True
-    min_p = config.param("min_p_hat")
+    min_p = config.param("min_p_hat", convert=float)
     if min_p is not None:
-        report["min_p_hat"] = float(min_p)
-        ok = result.p_hat >= float(min_p)
+        report["min_p_hat"] = min_p
+        ok = result.p_hat >= min_p
     if verify:
-        from .networks import build_line
-        from .strategies import ProtocolSigma
-        from .engine import _replication_rng, sigma_ring_times
-        from .signals import binary_model, sample_atoms
-        from .common import STATE_HIGH, STATE_LOW
         vq = as_fraction(q)
         vmodel = binary_model(vq)
         vnet = build_line(14, ring=True)
@@ -441,7 +442,6 @@ def _run_outsider(config: ExperimentConfig, verify: bool) -> _Outcome:
     profile = _build_profile(config, network,
                              model) if config.strategy else None
     if profile is None:
-        from .strategies import myopic_rule
         profile = myopic_rule(model)
     trace = run_profile(network, model, profile, config.horizon,
                         np.random.default_rng(config.seed))

@@ -11,13 +11,14 @@ matches the counterfactual one.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 
 import numpy as np
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .bounds import _reachable_within
 from .common import (
     NEVER,
     STATE_HIGH,
@@ -56,7 +57,6 @@ class SolveConfig:
 
     delta: Fraction
     horizon: int
-    max_agents: int = 12
     max_sweeps: int = 40
     max_scenarios: int = 200_000
     raise_horizon: bool = False
@@ -69,6 +69,10 @@ class SolveConfig:
         object.__setattr__(self, "delta", delta)
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.raise_horizon and self.max_horizon < self.horizon:
+            raise ValueError(
+                f"max_horizon ({self.max_horizon}) must be >= horizon "
+                f"({self.horizon}) when raise_horizon is set")
 
 
 @dataclass(frozen=True)
@@ -85,92 +89,111 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
                         max_scenarios: int = 200_000) -> list:
     """All positive-probability runs of the profile, with exact weights.
 
-    frozen marks one agent forced to never adopt (its signal is left out of
-    the enumeration).  Mixing strategies split into weighted branches; the
-    branch factor multiplies both state weights since mixing draws are
-    state-independent.  Returns Scenario records whose weights sum to one
-    per state.
+    Runs are expanded forward one period at a time.  A live state is the
+    time vector plus the signal atoms each undecided agent may still hold;
+    an asked agent splits them by its answer, a mixing atom both ways with
+    its mixing probability (a factor of both state weights, since mixing
+    draws are state-independent).  Equal states add their weights, and runs
+    are merged by time vector: each Scenario is one distinct time vector,
+    and the weights sum to one per state.
+
+    frozen marks one agent forced to never adopt (its signal is left out).
+    An agent d observation steps from it is asked only through period
+    horizon - d, so only the frozen agent's observations before period
+    horizon are exact.  max_scenarios bounds the live states in any period;
+    more raise ValueError.
     """
     strategies = _normalize_profile(network, profile)
-    actors = [i for i in network.agents if i != frozen]
-    n_assign = model.n_atoms ** len(actors)
-    if n_assign > max_scenarios:
-        raise ValueError(
-            f"{n_assign} signal assignments exceed the {max_scenarios} scenario budget"
-        )
-    likelihood_high = [lh for lh, _ in model.atoms]
-    likelihood_low = [ll for _, ll in model.atoms]
-    beliefs = model.beliefs
+    dist = (dict.fromkeys(network.agents, 0) if frozen is None
+            else _reachable_within(network, frozen, horizon))
+    last = [horizon - dist[i] if i in dist and i != frozen else -1
+            for i in network.agents]
     spont = [s.spontaneous_until for s in strategies]
     lag = [s.max_reaction_lag for s in strategies]
+    beliefs = model.beliefs
 
-    scenarios = []
+    @functools.cache
+    def mass(mask):
+        return tuple(sum((lik[k] for a, lik in enumerate(model.atoms)
+                          if mask >> a & 1), ZERO) for k in (0, 1))
 
-    def run_branch(times, last_cue, remaining, t, factor, atom_of):
-        while True:
-            active = (_active_agents(remaining, t, spont, lag, last_cue)
-                      if t <= horizon else [])
+    def factor(sub, mask, p):
+        """(high, low) weight factors p * P(atom in sub | atom in mask)."""
+        if sub == mask:
+            return p, p
+        (sub_high, sub_low), (all_high, all_low) = mass(sub), mass(mask)
+        return p * sub_high / all_high, p * sub_low / all_low
+
+    def check_budget(live, t):
+        if live > max_scenarios:
+            raise ValueError(f"{live} live states at period {t} exceed the "
+                             f"{max_scenarios} scenario budget")
+
+    masks = tuple((1 << model.n_atoms) - 1 if d >= 0 else 0 for d in last)
+    states = {((NEVER,) * network.n, masks): [ONE, ONE, [-math.inf] * network.n]}
+    finished = {}
+    t = 0
+    while states:
+        following = {}
+        for (times, masks), (w_high, w_low, last_cue) in states.items():
+            active = _active_agents([i for i in network.agents if masks[i]],
+                                    t, spont, lag, last_cue)
             if not active:
-                scenarios.append((factor, tuple(times)))
-                return
-            sure = []
-            mixers = []
+                total = finished.setdefault(times, [ZERO, ZERO])
+                total[0] += w_high
+                total[1] += w_low
+                continue
+            branches = [(w_high, w_low, ())]
+            fixed = []  # agents that give one answer for all their atoms
             for i in active:
                 view = NeighborTimes(network.out_neighbors(i), times)
-                ctx = DecisionContext(
-                    agent=i, period=t, atom=atom_of[i],
-                    belief=beliefs[atom_of[i]], times=view, rng=None,
-                    network=network,
-                )
-                p = as_fraction(strategies[i].adopt_probability(ctx))
-                if p == 1:
-                    sure.append(i)
-                elif p != 0:
-                    mixers.append((i, p))
-            if not mixers:
-                _record_adoptions(network, times, last_cue, sure, t)
-                if sure:
-                    remaining = [i for i in remaining if is_never(times[i])]
-                t += 1
-                continue
-            if len(mixers) > 20:
-                raise ValueError(f"{len(mixers)} simultaneous mixers: branch blow-up")
-            for bits in itertools.product((False, True), repeat=len(mixers)):
-                sub_factor = factor
-                adopting = list(sure)
-                for (i, p), adopt in zip(mixers, bits):
-                    if adopt:
-                        adopting.append(i)
-                        sub_factor *= p
-                    else:
-                        sub_factor *= 1 - p
-                new_times = list(times)
-                new_cue = list(last_cue)
-                _record_adoptions(network, new_times, new_cue, adopting, t)
-                new_remaining = [i for i in remaining if is_never(new_times[i])]
-                run_branch(new_times, new_cue, new_remaining, t + 1,
-                           sub_factor, atom_of)
-            return
-
-    results = []
-    for assignment in itertools.product(range(model.n_atoms), repeat=len(actors)):
-        atom_of = dict(zip(actors, assignment))
-        w_high = ONE
-        w_low = ONE
-        for a in assignment:
-            w_high *= likelihood_high[a]
-            w_low *= likelihood_low[a]
-        scenarios.clear()
-        remaining = list(actors)
-        run_branch([NEVER] * network.n, [-math.inf] * network.n, remaining,
-                   0, ONE, atom_of)
-        for factor, times in scenarios:
-            results.append(Scenario(
-                weight_high=w_high * factor,
-                weight_low=w_low * factor,
-                times=times,
-            ))
-    return results
+                sure = {True: 0, False: 0}
+                splits = []
+                for a in range(model.n_atoms):
+                    if masks[i] >> a & 1:
+                        ctx = DecisionContext(
+                            agent=i, period=t, atom=a, belief=beliefs[a],
+                            times=view, rng=None, network=network)
+                        p = as_fraction(strategies[i].adopt_probability(ctx))
+                        if p == 1 or p == 0:
+                            sure[p == 1] |= 1 << a
+                        else:
+                            splits += [(True, 1 << a, p), (False, 1 << a, 1 - p)]
+                splits += [(adopt, sub, ONE) for adopt, sub in sure.items() if sub]
+                # Splits that leave the same state behind (every adoption,
+                # every stay of an expiring agent) are merged here, so the
+                # branches of one state all lead to distinct states.
+                outcomes = {}
+                for adopt, sub, p in splits:
+                    pick = (i, adopt, 0 if adopt or last[i] == t else sub)
+                    f, g = factor(sub, masks[i], p), outcomes.get(pick)
+                    outcomes[pick] = f if g is None else (f[0] + g[0], f[1] + g[1])
+                if len(outcomes) == 1:  # a sole outcome has weight factor 1
+                    fixed += outcomes
+                    continue
+                branches = [(b_high * f_high, b_low * f_low, picks + (pick,))
+                            for b_high, b_low, picks in branches
+                            for pick, (f_high, f_low) in outcomes.items()]
+                check_budget(len(branches), t + 1)
+            for b_high, b_low, picks in branches:
+                picks += tuple(fixed)
+                new_masks = [0 if last[i] == t else m for i, m in enumerate(masks)]
+                for i, _, kept in picks:
+                    new_masks[i] = kept
+                new_times, new_cue = list(times), list(last_cue)
+                _record_adoptions(network, new_times, new_cue,
+                                  [i for i, adopt, _ in picks if adopt], t)
+                key = (tuple(new_times), tuple(new_masks))
+                if key in following:
+                    following[key][0] += b_high
+                    following[key][1] += b_low
+                else:
+                    following[key] = [b_high, b_low, new_cue]
+                    check_budget(len(following), t + 1)
+        states = following
+        t += 1
+    return [Scenario(weight_high=w_high, weight_low=w_low, times=times)
+            for times, (w_high, w_low) in finished.items()]
 
 
 def observed_history(network, agent: int, times, t: int) -> tuple:
@@ -267,10 +290,6 @@ def best_response(network, model: SignalModel, profile, agent: int,
     The returned table has entries only at reachable histories where at
     least one atom adopts; everything else defaults to staying out.
     """
-    if network.n > config.max_agents:
-        raise ValueError(
-            f"instance size {network.n} exceeds max_agents={config.max_agents}"
-        )
     margins = _node_margins(network, model, profile, agent, config)
     beliefs = model.beliefs
     order = sorted(range(model.n_atoms), key=lambda a: beliefs[a])
@@ -406,14 +425,9 @@ def _view_for(network, agent, times):
 
 
 def _profile_fingerprint(profile: dict) -> tuple:
-    out = []
-    for i in sorted(profile):
-        rule = profile[i]
-        entries = tuple(sorted(
-            (key, (thr, mix)) for (who, key), (thr, mix) in rule.entries.items()
-        ))
-        out.append((i, entries))
-    return tuple(out)
+    return tuple((i, tuple(sorted((key, value) for (_, key), value
+                                  in profile[i].entries.items())))
+                 for i in sorted(profile))
 
 
 @dataclass(frozen=True)
@@ -432,18 +446,13 @@ class EquilibriumReport:
 
 
 def _profile_residual(old: dict, new: dict) -> float:
-    keys = set()
-    for prof in (old, new):
-        for i, rule in prof.items():
-            for (_, key) in rule.entries:
-                keys.add((i, key))
-    worst = 0.0
-    for i, key in keys:
-        def thr_of(prof):
-            hit = prof[i].lookup(i, key)
-            return float(hit[0]) if hit else 1.0
-        worst = max(worst, abs(thr_of(old) - thr_of(new)))
-    return worst
+    def thr_of(prof, i, key):
+        hit = prof[i].lookup(i, key)
+        return float(hit[0]) if hit else 1.0
+    keys = {(i, key) for prof in (old, new) for i, rule in prof.items()
+            for _, key in rule.entries}
+    return max((abs(thr_of(old, i, key) - thr_of(new, i, key))
+                for i, key in keys), default=0.0)
 
 
 def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
@@ -456,10 +465,6 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
     for binary-signal instances a symmetric mixing search on the
     MIXING_GRID_STEP grid is then attempted before giving up.
     """
-    if network.n > config.max_agents:
-        raise ValueError(
-            f"instance size {network.n} exceeds max_agents={config.max_agents}"
-        )
     if config.raise_horizon:
         return _solve_with_stable_horizon(network, model, config, initial, check)
 
@@ -515,14 +520,11 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
 
 
 def _early_entries(profile: dict) -> tuple:
-    out = []
-    for i in sorted(profile):
-        items = sorted(profile[i].entries.items(),
-                       key=lambda kv: (str(kv[0][0]), kv[0][1]))
-        for (who, key), (thr, mix) in items:
-            if key[0] <= 1:
-                out.append((i, key, thr, mix))
-    return tuple(out)
+    return tuple((i, key, thr, mix) for i in sorted(profile)
+                 for (_, key), (thr, mix) in sorted(
+                     profile[i].entries.items(),
+                     key=lambda kv: (str(kv[0][0]), kv[0][1]))
+                 if key[0] <= 1)
 
 
 def _solve_with_stable_horizon(network, model, config, initial, check):
@@ -582,14 +584,10 @@ def _strategy_prob_at(strategy, agent, key, atom, beliefs, network):
 def _symmetric_mixing_search(network, model, config, profile):
     """Try symmetric mixing at the entries where the cycle disagrees."""
     grid = [MIXING_GRID_STEP * j for j in range(1, int(1 / MIXING_GRID_STEP))]
-    base = {i: profile[i] for i in network.agents}
     for m in grid:
-        candidate = {}
-        for i in network.agents:
-            entries = {}
-            for (who, key), (thr, mix) in base[i].entries.items():
-                entries[(who, key)] = (thr, m)
-            candidate[i] = ThresholdRule(entries=entries)
+        candidate = {i: ThresholdRule(entries={
+            who_key: (thr, m) for who_key, (thr, _) in profile[i].entries.items()})
+            for i in network.agents}
         if is_equilibrium(network, model, candidate, config):
             return candidate
     return None

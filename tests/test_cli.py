@@ -186,15 +186,6 @@ def test_non_integer_jobs_env_is_a_validation_failure(tmp_path, monkeypatch,
 
 
 def test_unexpected_errors_exit_two_on_one_line(tmp_path, monkeypatch, capsys):
-    # A 400-digit eps overflows float(); nothing validates it earlier.
-    big = tmp_path / "big.json"
-    big.write_text('{"kind": "bounds", "seed": 1, "params": {"m": 2, "eps": 1'
-                   + "0" * 400 + "}}")
-    assert main(["--config", str(big), "--out", str(tmp_path / "o1")]) == 2
-    err = capsys.readouterr().err
-    assert "OverflowError" in err and "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-
     def broken(config, verify):
         raise RuntimeError("handler failed")
 
@@ -423,6 +414,32 @@ def test_simulate_rejects_out_of_range_focal_agent(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", payload)
     assert run(cfg, out=tmp_path / "out") == 2
     assert "focal_agent" in capsys.readouterr().err
+
+
+def test_solve_rejects_max_horizon_below_horizon(tmp_path, capsys):
+    payload = {"kind": "solve", "seed": 1, "network": {"line": {"n": 3}},
+               "signal": {"binary": 0.75}, "delta": "9/10", "horizon": 5,
+               "params": {"max_horizon": 3}}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(cfg, out=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unexpected" not in err
+    assert "max_horizon (3)" in err and "horizon (5)" in err
+
+
+@pytest.mark.parametrize("params, field", [
+    # A 400-digit eps overflows float().
+    ({"m": 2, "eps": 10 ** 400}, "params.eps"),
+    ({"m": "abc", "eps": 0.2}, "params.m"),
+])
+def test_bad_numeric_param_names_its_field(tmp_path, capsys, params, field):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"kind": "bounds", "seed": 1, "params": params})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "unexpected" not in err and "Traceback" not in err
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_config_rejects_non_object_payload(tmp_path):

@@ -28,6 +28,10 @@ def test_solve_config_validation():
         SolveConfig(delta=Fraction(1), horizon=2)
     with pytest.raises(ValueError, match="horizon"):
         SolveConfig(delta=Fraction(1, 2), horizon=-1)
+    with pytest.raises(ValueError, match="max_horizon"):
+        SolveConfig(delta=Fraction(1, 2), horizon=5, raise_horizon=True,
+                    max_horizon=3)
+    SolveConfig(delta=Fraction(1, 2), horizon=5, max_horizon=3)
 
 
 def test_enumerate_scenarios_weights_sum_to_one():
@@ -77,9 +81,19 @@ def test_best_response_two_line_thresholds():
 
 def test_best_response_size_guard():
     net = build_line(13)
+    cfg = SolveConfig(delta=Fraction(1, 2), horizon=2, max_scenarios=4)
+    with pytest.raises(ValueError, match="scenario budget"):
+        best_response(net, MODEL, myopic_rule(MODEL), 6, cfg)
+
+
+def test_solve_line_of_thirteen():
+    net = build_line(13)
     cfg = SolveConfig(delta=Fraction(1, 2), horizon=2)
-    with pytest.raises(ValueError, match="max_agents"):
-        best_response(net, MODEL, myopic_rule(MODEL), 0, cfg)
+    report = solve_equilibrium(net, MODEL, cfg)
+    assert report.converged
+    assert report.checks.ok
+    # 13 myopic period-0 choices, each visible in the merged time vectors
+    assert report.checks.scenario_count == 2 ** 13
 
 
 def _doubled_value(net, profile, horizon):
