@@ -103,5 +103,3 @@ from .strategies import (
     myopic_rule,
     strategy_from_spec,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

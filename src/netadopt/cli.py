@@ -49,8 +49,8 @@ from .engine import (_replication_rng, estimate, outsider_posterior, run_profile
                      sigma_ring_estimate, sigma_ring_times)
 from .networks import build_line, network_from_spec
 from .signals import binary_model, sample_atoms, signal_model_from_spec
-from .solver import (SolveConfig, solve_equilibrium, verify_spontaneous_example,
-                     verify_structure)
+from .solver import (ScenarioBudgetError, SolveConfig, solve_equilibrium,
+                     verify_spontaneous_example, verify_structure)
 from .strategies import (ProtocolSigma, ThresholdRule, myopic_rule,
                          strategy_from_spec)
 
@@ -266,14 +266,18 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
     if verify and solve_report is None:
         prof = profile if isinstance(profile, dict) else \
             {i: profile for i in network.agents}
-        if network.n <= 8 and all(isinstance(s, ThresholdRule)
-                                  for s in prof.values()):
-            checks = verify_structure(network, model, prof,
-                                      _solve_config(config, stabilize_default=False))
-            report["verify"] = _checks_dict(checks)
-            ok = ok and checks.ok
+        if not all(isinstance(s, ThresholdRule) for s in prof.values()):
+            report["verify"] = "skipped: needs threshold rules"
         else:
-            report["verify"] = "skipped: needs <= 8 agents and threshold rules"
+            try:
+                checks = verify_structure(
+                    network, model, prof,
+                    _solve_config(config, stabilize_default=False))
+            except ScenarioBudgetError as exc:
+                report["verify"] = f"skipped: {exc}"
+            else:
+                report["verify"] = _checks_dict(checks)
+                ok = ok and checks.ok
     return _Outcome(report=report, ok=ok, csv_rows=rows, plot_rows=plot)
 
 

@@ -13,6 +13,7 @@ than a truncation artifact.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -58,15 +59,14 @@ class NeighborTimes:
 class DecisionContext:
     """Everything a strategy may see when deciding in one period."""
 
-    __slots__ = ("agent", "period", "atom", "belief", "times", "rng", "network")
+    __slots__ = ("agent", "period", "atom", "belief", "times", "network")
 
-    def __init__(self, agent, period, atom, belief, times, rng, network):
+    def __init__(self, agent, period, atom, belief, times, network):
         self.agent = agent
         self.period = period
         self.atom = atom
         self.belief = belief
         self.times = times
-        self.rng = rng
         self.network = network
 
 
@@ -167,7 +167,7 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
         for i in active:
             ctx = DecisionContext(
                 agent=i, period=t, atom=atoms[i], belief=beliefs[atoms[i]],
-                times=views[i], rng=rng, network=network,
+                times=views[i], network=network,
             )
             p = strategies[i].adopt_probability(ctx)
             if p == 1:
@@ -246,10 +246,11 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
 
     Runs n_reps independent replications; replication r uses a random
     stream derived from (seed, r), so results are reproducible.  jobs > 1
-    shards replications across processes with a deterministic merge: counts
-    and fractions do not depend on jobs, but the float utility sums are
-    added shard by shard, so utilities can differ in the last bits between
-    job counts.  delta may be a number or a "p/q" string.
+    splits the replications into jobs shards, run by at most one worker
+    process per CPU, with a deterministic merge: counts and fractions do not
+    depend on jobs, but the float utility sums are added shard by shard, so
+    utilities can differ in the last bits between job counts.  delta may be
+    a number or a "p/q" string.
     """
     if n_reps <= 0:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
@@ -261,7 +262,8 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
             for lo, hi in shards]
     if jobs > 1 and len(shards) > 1:
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            workers = min(len(shards), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 partials = list(pool.map(_estimate_shard, args))
         except Exception as exc:  # pickling or platform failure: stay correct
             warnings.warn(f"parallel estimation failed ({exc}); running sequentially")

@@ -3,10 +3,13 @@
 Everything here runs on exact rationals: scenario weights, posteriors, and
 backward-induction values are Fractions, so convergence and indifference are
 decided by equality, never by float tolerance.  The key device is the
-never-adopt counterfactual: an agent's best response is an optimal-stopping
-problem against the scenario tree in which the agent itself never adopts,
-because its payoff locks at adoption and beforehand the observed history
-matches the counterfactual one.
+never-adopt counterfactual: before an agent adopts, the history it observes
+is the one it would observe if it never adopted.  So every per-agent query
+reads one tree, the exact weight under each state of every history the
+agent can observe while it never adopts: its best response is an
+optimal-stopping problem on that tree, its posterior is a lookup in it,
+and the structure checks walk it forward with the agent's own chance of
+not having adopted yet.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 import math
 
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import _reachable_within
@@ -42,13 +45,18 @@ from .networks import (
     spontaneous_example_groups,
 )
 from .signals import SignalModel, binary_model
-from .strategies import FollowRule, HALF, Strategy, ThresholdRule, myopic_rule
+from .strategies import (FollowRule, HALF, Strategy, ThresholdRule,
+                         canonical_history, myopic_rule)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Grid of mixing probabilities tried after a best-response cycle.
 MIXING_GRID_STEP = Fraction(1, 64)
+
+
+class ScenarioBudgetError(ValueError):
+    """An enumeration needs more live states than max_scenarios allows."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
     An agent d observation steps from it is asked only through period
     horizon - d, so only the frozen agent's observations before period
     horizon are exact.  max_scenarios bounds the live states in any period;
-    more raise ValueError.
+    more raise ScenarioBudgetError.
     """
     strategies = _normalize_profile(network, profile)
     dist = (dict.fromkeys(network.agents, 0) if frozen is None
@@ -126,8 +134,8 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
 
     def check_budget(live, t):
         if live > max_scenarios:
-            raise ValueError(f"{live} live states at period {t} exceed the "
-                             f"{max_scenarios} scenario budget")
+            raise ScenarioBudgetError(f"{live} live states at period {t} exceed "
+                                      f"the {max_scenarios} scenario budget")
 
     masks = tuple((1 << model.n_atoms) - 1 if d >= 0 else 0 for d in last)
     states = {((NEVER,) * network.n, masks): [ONE, ONE, [-math.inf] * network.n]}
@@ -153,7 +161,7 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
                     if masks[i] >> a & 1:
                         ctx = DecisionContext(
                             agent=i, period=t, atom=a, belief=beliefs[a],
-                            times=view, rng=None, network=network)
+                            times=view, network=network)
                         p = as_fraction(strategies[i].adopt_probability(ctx))
                         if p == 1 or p == 0:
                             sure[p == 1] |= 1 << a
@@ -196,14 +204,43 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
             for times, (w_high, w_low) in finished.items()]
 
 
-def observed_history(network, agent: int, times, t: int) -> tuple:
-    """Canonical history key for what agent has seen entering period t."""
-    pairs = tuple(sorted(
-        (j, int(times[j]))
-        for j in network.out_neighbors(agent)
-        if times[j] < t
-    ))
-    return (t, pairs)
+def _history_tree(network, model, profile, agent, horizon, max_scenarios):
+    """Exact weights of the histories agent observes while it never adopts.
+
+    Maps each history key (t, pairs), t <= horizon, of a run of
+    enumerate_scenarios(..., frozen=agent) to the summed (weight_high,
+    weight_low) of its runs; the parent (t - 1, pairs before t - 1) of a
+    key is a key too.  Also returns the number of runs read.
+    """
+    scenarios = enumerate_scenarios(network, model, profile, horizon,
+                                    frozen=agent, max_scenarios=max_scenarios)
+    neighbors = network.out_neighbors(agent)
+    tree = {}
+    for s in scenarios:
+        for t in range(horizon + 1):
+            key = canonical_history(neighbors, s.times, t)
+            w_high, w_low = tree.get(key, (ZERO, ZERO))
+            tree[key] = (w_high + s.weight_high, w_low + s.weight_low)
+    return tree, len(scenarios)
+
+
+def _parent(key) -> tuple:
+    t, pairs = key
+    return (t - 1, tuple(p for p in pairs if p[1] < t - 1))
+
+
+def _probs_at(strategy, network, model, agent, key) -> list:
+    """The strategy's adoption probability at a history key, one per atom;
+    it sees the key's adoption periods and NEVER for every other agent."""
+    t, pairs = key
+    times = [NEVER] * network.n
+    for j, tau in pairs:
+        times[j] = tau
+    view = NeighborTimes(network.out_neighbors(agent), times)
+    return [as_fraction(strategy.adopt_probability(DecisionContext(
+                agent=agent, period=t, atom=a, belief=belief, times=view,
+                network=network)))
+            for a, belief in enumerate(model.beliefs)]
 
 
 def exact_posterior(network, model: SignalModel, profile, agent: int,
@@ -216,70 +253,45 @@ def exact_posterior(network, model: SignalModel, profile, agent: int,
     never-adopt counterfactual for this agent.
     """
     t, pairs = history
-    max_scen = config.max_scenarios if config else 200_000
-    horizon = max(t, config.horizon if config else t)
-    scenarios = enumerate_scenarios(
-        network, model, profile, horizon, frozen=agent, max_scenarios=max_scen)
-    weight_high = ZERO
-    weight_low = ZERO
-    key = tuple(sorted((int(j), int(tau)) for j, tau in pairs))
-    for s in scenarios:
-        if observed_history(network, agent, s.times, t)[1] == key:
-            weight_high += s.weight_high
-            weight_low += s.weight_low
+    tree, _ = _history_tree(
+        network, model, profile, agent,
+        max(t, config.horizon if config else t),
+        config.max_scenarios if config else 200_000)
+    key = (t, tuple(sorted((int(j), int(tau)) for j, tau in pairs)))
+    weight_high, weight_low = tree.get(key, (ZERO, ZERO))
     if weight_high == 0 and weight_low == 0:
         raise ImpossibleHistoryError(
-            f"history {history!r} of agent {agent} has probability zero"
-        )
-    atom = model.atom_for_belief(own_belief)
-    lh, ll = model.atoms[atom]
-    top = lh * weight_high
-    bot = ll * weight_low
-    return top / (top + bot)
+            f"history {history!r} of agent {agent} has probability zero")
+    lh, ll = model.atoms[model.atom_for_belief(own_belief)]
+    return lh * weight_high / (lh * weight_high + ll * weight_low)
 
 
 def _node_margins(network, model, profile, agent, config):
-    """Backward induction for one agent against the never-adopt scenarios.
+    """Backward induction for one agent over its never-adopt history tree.
 
     Values are exact and in doubled-utility units (the H/L payoff
-    difference scale); a node is worth max(stop, cont).  Returns, for every
-    (history key, atom) over reachable pre-adoption histories, the sign of
-    stop - cont: 1 when stopping is strictly better, -1 when continuing is,
-    0 at indifference.
+    difference scale); a key is worth max(stop, cont), where cont sums the
+    values of the keys whose parent it is.  Returns, for every key, the
+    sign of stop - cont per atom: 1 when stopping is strictly better, -1
+    when continuing is, 0 at indifference.
     """
-    scenarios = enumerate_scenarios(
-        network, model, profile, config.horizon, frozen=agent,
-        max_scenarios=config.max_scenarios)
-    delta = config.delta
-    atoms = model.atoms
-    n_atoms = model.n_atoms
+    tree, _ = _history_tree(network, model, profile, agent, config.horizon,
+                            config.max_scenarios)
+    none = (ZERO,) * model.n_atoms
+    cont = {}
     margins = {}
-
-    def node(t, scen_ids, key):
-        weight_high = sum(scenarios[s].weight_high for s in scen_ids)
-        weight_low = sum(scenarios[s].weight_low for s in scen_ids)
-        disc = delta ** t
-        stop = [disc * (atoms[a][0] * weight_high - atoms[a][1] * weight_low)
-                for a in range(n_atoms)]
-        cont = [ZERO] * n_atoms
-        if t < config.horizon:
-            groups = {}
-            for s in scen_ids:
-                ck = observed_history(network, agent, scenarios[s].times, t + 1)
-                groups.setdefault(ck, []).append(s)
-            for ck, members in sorted(groups.items()):
-                child_vals = node(t + 1, members, ck)
-                for a in range(n_atoms):
-                    cont[a] += child_vals[a]
-        vals = []
-        for a in range(n_atoms):
-            # Keep only the sign: exact margins for every history would sit
-            # in memory next to the scenario list.
-            margins[(key, a)] = (stop[a] > cont[a]) - (stop[a] < cont[a])
-            vals.append(max(stop[a], cont[a]))
-        return vals
-
-    node(0, list(range(len(scenarios))), (0, ()))
+    for key in sorted(tree, reverse=True):  # children before their parent
+        w_high, w_low = tree[key]
+        disc = config.delta ** key[0]
+        below = cont.pop(key, none)
+        stop = [disc * (lh * w_high - ll * w_low) for lh, ll in model.atoms]
+        # Keep only the sign: exact margins for every history would sit in
+        # memory next to the tree.
+        margins[key] = tuple((s > c) - (s < c) for s, c in zip(stop, below))
+        if key[0]:
+            parent = _parent(key)
+            cont[parent] = [v + max(s, c) for v, s, c in
+                            zip(cont.get(parent, none), stop, below)]
     return margins
 
 
@@ -294,9 +306,8 @@ def best_response(network, model: SignalModel, profile, agent: int,
     beliefs = model.beliefs
     order = sorted(range(model.n_atoms), key=lambda a: beliefs[a])
     entries = {}
-    keys = sorted({key for key, _ in margins})
-    for key in keys:
-        row = [margins[(key, a)] >= 0 for a in order]
+    for key, signs in sorted(margins.items()):
+        row = [signs[a] >= 0 for a in order]
         # Monotone in belief: once an atom adopts, all higher beliefs must.
         first = next((i for i, adopt in enumerate(row) if adopt), None)
         if first is None:
@@ -330,82 +341,71 @@ def verify_structure(network, model: SignalModel, profile,
                      config: SolveConfig) -> StructureChecks:
     """Check threshold form, state-monotone timing, and tree cue-locality.
 
-    Failures are reported as entries, not raised: the caller decides whether
-    a violated check is fatal.
+    Each check reads one agent's never-adopt history tree.  Walking its
+    keys forward with the agent's chance, per atom, of not having adopted
+    yet gives the exact chance of reaching each key before adopting and of
+    adopting there.  (i) At every reachable key the adoption probabilities
+    in belief order are zeros, at most one interior value, then ones.
+    (ii) P(adopt at t | H) >= P(adopt at t | L) for each t <= horizon.
+    (iii) On trees, adopting after period 0 follows an observed neighbor's
+    adoption the period before.  scenario_count sums the never-adopt runs
+    read over agents.  Each violation is reported once, agent by agent,
+    not raised: the caller decides whether a violated check is fatal.
     """
     strategies = _normalize_profile(network, profile)
-    scenarios = enumerate_scenarios(
-        network, model, profile, config.horizon,
-        max_scenarios=config.max_scenarios)
-    beliefs = model.beliefs
-    violations = []
-
-    # (i) threshold form at every reachable pre-adoption history.
-    threshold_ok = True
-    seen = set()
-    order = sorted(range(model.n_atoms), key=lambda a: beliefs[a])
-    for s in scenarios:
-        for i in network.agents:
-            tau = s.times[i]
-            last = tau if not is_never(tau) else config.horizon
-            for t in range(0, int(min(last, config.horizon)) + 1):
-                key = observed_history(network, i, s.times, t)
-                if (i, key) in seen:
-                    continue
-                seen.add((i, key))
-                probs = []
-                for a in range(model.n_atoms):
-                    ctx = DecisionContext(
-                        agent=i, period=t, atom=a, belief=beliefs[a],
-                        times=_view_for(network, i, s.times), rng=None,
-                        network=network)
-                    probs.append(as_fraction(strategies[i].adopt_probability(ctx)))
-                row = [probs[a] for a in order]
-                if not _is_threshold_shape(row):
-                    threshold_ok = False
-                    violations.append(
-                        f"threshold-form: agent {i} at {key} has adoption "
-                        f"probabilities {[float(p) for p in row]} in belief order"
-                    )
-
-    # (ii) adoption at each finite period is weakly more likely under H.
-    monotone_ok = True
+    spont = [s.spontaneous_until for s in strategies]
+    lag = [s.max_reaction_lag for s in strategies]
+    order = sorted(range(model.n_atoms), key=lambda a: model.beliefs[a])
+    tree_network = analyze(network).is_tree
+    shape_bad, timing_bad, cue_bad = [], [], []
+    runs = 0
     for i in network.agents:
-        for t in range(config.horizon + 1):
-            p_high = sum((s.weight_high for s in scenarios if s.times[i] == t), ZERO)
-            p_low = sum((s.weight_low for s in scenarios if s.times[i] == t), ZERO)
-            if p_high < p_low:
-                monotone_ok = False
-                violations.append(
-                    f"state-monotonicity: agent {i} adopts at {t} with "
-                    f"P={float(p_high):.6g} under H < {float(p_low):.6g} under L"
-                )
-
-    # (iii) on trees, adoption after period 0 needs a fresh observed cue.
-    tree = analyze(network).is_tree
-    spontaneous_ok = None
-    if tree:
-        spontaneous_ok = True
-        for s in scenarios:
-            if s.weight_high == 0 and s.weight_low == 0:
+        tree, count = _history_tree(network, model, profile, i,
+                                    config.horizon, config.max_scenarios)
+        runs += count
+        not_yet = {}  # key -> per-atom chance of not having adopted by then
+        adopt_high = [ZERO] * (config.horizon + 1)
+        adopt_low = list(adopt_high)
+        uncued = set()
+        for key in sorted(tree):  # parents before their children
+            t, pairs = key
+            alive = not_yet[_parent(key)] if t else [ONE] * model.n_atoms
+            not_yet[key] = alive
+            w_high, w_low = tree[key]
+            reach = [(lh * w_high * a, ll * w_low * a)
+                     for (lh, ll), a in zip(model.atoms, alive)]
+            if not any(rh or rl for rh, rl in reach):
                 continue
-            for i in network.agents:
-                tau = s.times[i]
-                if is_never(tau) or tau == 0:
-                    continue
-                if not any(s.times[j] == tau - 1
-                           for j in network.out_neighbors(i)):
-                    spontaneous_ok = False
-                    violations.append(
-                        f"spontaneous adoption: agent {i} adopts at {tau} with "
-                        f"no observed neighbor adopting at {tau - 1}"
-                    )
+            probs = _probs_at(strategies[i], network, model, i, key)
+            row = [probs[a] for a in order]
+            if not _is_threshold_shape(row):
+                shape_bad.append(
+                    f"threshold-form: agent {i} at {key} has adoption "
+                    f"probabilities {[float(p) for p in row]} in belief order")
+            cue = max((tau for _, tau in pairs), default=-math.inf)
+            if not _active_agents((i,), t, spont, lag, {i: cue}):
+                continue  # the agent is not asked, so it stays out
+            not_yet[key] = [a * (1 - p) for a, p in zip(alive, probs)]
+            p_high = sum(rh * p for (rh, _), p in zip(reach, probs))
+            p_low = sum(rl * p for (_, rl), p in zip(reach, probs))
+            adopt_high[t] += p_high
+            adopt_low[t] += p_low
+            if t and (p_high or p_low) and all(tau != t - 1 for _, tau in pairs):
+                uncued.add(t)
+        timing_bad += [
+            f"state-monotonicity: agent {i} adopts at {t} with "
+            f"P={float(p_high):.6g} under H < {float(p_low):.6g} under L"
+            for t, (p_high, p_low) in enumerate(zip(adopt_high, adopt_low))
+            if p_high < p_low]
+        cue_bad += [f"spontaneous adoption: agent {i} adopts at {t} with "
+                    f"no observed neighbor adopting at {t - 1}"
+                    for t in sorted(uncued) if tree_network]
     return StructureChecks(
-        threshold_form_ok=threshold_ok,
-        state_monotone_ok=monotone_ok,
-        no_spontaneous_ok=spontaneous_ok,
-        violations=tuple(violations),
-        scenario_count=len(scenarios),
+        threshold_form_ok=not shape_bad,
+        state_monotone_ok=not timing_bad,
+        no_spontaneous_ok=not cue_bad if tree_network else None,
+        violations=tuple(shape_bad + timing_bad + cue_bad),
+        scenario_count=runs,
     )
 
 
@@ -418,10 +418,6 @@ def _is_threshold_shape(row) -> bool:
     if i < len(row) and 0 < row[i] < 1:
         i += 1
     return all(p == 1 for p in row[i:])
-
-
-def _view_for(network, agent, times):
-    return NeighborTimes(network.out_neighbors(agent), times)
 
 
 def _profile_fingerprint(profile: dict) -> tuple:
@@ -556,29 +552,15 @@ def is_equilibrium(network, model: SignalModel, profile, config: SolveConfig) ->
     exactly indifferent.
     """
     strategies = _normalize_profile(network, profile)
-    beliefs = model.beliefs
     for i in network.agents:
         margins = _node_margins(network, model, profile, i, config)
-        for (key, atom), sign in margins.items():
-            p = _strategy_prob_at(strategies[i], i, key, atom, beliefs, network)
-            if p == 1 and sign < 0:
-                return False
-            if p == 0 and sign > 0:
-                return False
-            if 0 < p < 1 and sign != 0:
+        for key, signs in margins.items():
+            probs = _probs_at(strategies[i], network, model, i, key)
+            # Adopting needs stop >= cont, staying out stop <= cont.
+            if any((p > 0 and sign < 0) or (p < 1 and sign > 0)
+                   for p, sign in zip(probs, signs)):
                 return False
     return True
-
-
-def _strategy_prob_at(strategy, agent, key, atom, beliefs, network):
-    t, pairs = key
-    times = [NEVER] * network.n
-    for j, tau in pairs:
-        times[j] = tau
-    ctx = DecisionContext(
-        agent=agent, period=t, atom=atom, belief=beliefs[atom],
-        times=_view_for(network, agent, times), rng=None, network=network)
-    return as_fraction(strategy.adopt_probability(ctx))
 
 
 def _symmetric_mixing_search(network, model, config, profile):

@@ -40,12 +40,10 @@ class Strategy:
         raise NotImplementedError
 
 
-def canonical_history(ctx) -> tuple:
-    """Canonical observation-history key: (period, sorted adopted pairs)."""
-    pairs = tuple(
-        sorted((j, ctx.times[j]) for j in ctx.times.neighbors if ctx.times[j] < ctx.period)
-    )
-    return (ctx.period, pairs)
+def canonical_history(neighbors, times, t) -> tuple:
+    """Canonical key of what an agent observing neighbors has seen entering
+    period t: (t, sorted (j, adoption period) pairs adopted before t)."""
+    return (t, tuple(sorted((j, times[j]) for j in neighbors if times[j] < t)))
 
 
 def history_key_to_text(key: tuple) -> str:
@@ -111,7 +109,9 @@ class ThresholdRule(Strategy):
         return hit
 
     def adopt_probability(self, ctx):
-        hit = self.lookup(ctx.agent, canonical_history(ctx))
+        view = ctx.times
+        hit = self.lookup(ctx.agent,
+                          canonical_history(view.neighbors, view, ctx.period))
         if hit is None:
             return Fraction(0)
         threshold, mix = hit

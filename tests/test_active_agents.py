@@ -54,7 +54,7 @@ def reference_run(network, model, strategies, horizon, rng):
         for i in remaining:
             ctx = DecisionContext(agent=i, period=t, atom=atoms[i],
                                   belief=model.beliefs[atoms[i]],
-                                  times=views[i], rng=rng, network=network)
+                                  times=views[i], network=network)
             p = strategies[i].adopt_probability(ctx)
             if p == 1 or (p != 0 and rng.random() < float(p)):
                 adopting.append(i)

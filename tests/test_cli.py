@@ -358,6 +358,37 @@ def test_simulate_verify_runs_structure_checks(tmp_path):
     assert report["verify"]["no_spontaneous_ok"] in (True, None)
 
 
+def test_simulate_verify_has_no_agent_cap(tmp_path):
+    payload = simulate_config(seed=8)
+    payload["network"] = {"line": {"n": 9}}
+    payload["replications"] = 20
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out=out, verify=True) == 0
+    checks = read_json(out, "results.json")["verify"]
+    assert checks["threshold_form_ok"] and checks["state_monotone_ok"]
+    assert checks["no_spontaneous_ok"] is True
+    assert checks["scenario_count"] > 0
+
+
+def test_simulate_verify_skips_over_the_scenario_budget(tmp_path, monkeypatch):
+    from netadopt import cli
+    from netadopt.solver import ScenarioBudgetError
+
+    def over_budget(*args):
+        raise ScenarioBudgetError("262144 live states at period 1 exceed "
+                                  "the 200000 scenario budget")
+
+    monkeypatch.setattr(cli, "verify_structure", over_budget)
+    cfg = write_config(tmp_path, "cfg.json", simulate_config(seed=8))
+    out = tmp_path / "out"
+    assert run(cfg, out=out, verify=True) == 0
+    report = read_json(out, "results.json")
+    assert report["verify"] == ("skipped: 262144 live states at period 1 "
+                                "exceed the 200000 scenario budget")
+    assert report["ok"] is True
+
+
 def test_strategy_list_must_match_agent_count(tmp_path, capsys):
     payload = simulate_config()
     payload["strategy"] = ["myopic", "myopic"]

@@ -1,0 +1,136 @@
+"""The command-line contract on random, mostly invalid configs.
+
+Every config goes through main() in-process.  Whatever it holds, the run
+must exit 0, 2 or 3 without raising; exit 2 prints one "error:" line, and
+exits 0 and 3 leave strict-JSON artifacts whose verdict matches the exit
+code.  Sizes stay small: at most 6 agents, 20 replications and horizon 5.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from netadopt.cli import KINDS, main
+
+# Per config field: values that may work, then values that must not.
+FIELDS = {
+    "seed": ((1, 7, 20250816, -3), ("x", 1.5, None)),
+    "network": (
+        ({"line": {"n": 3}}, {"line": {"n": 6, "ring": True}},
+         {"line": {"n": 4, "directed": True}}, {"line": {"n": 1}},
+         {"star": {"leaves": 3}}, {"star": {"leaves": 5, "directed": False}},
+         {"tree": {"d": 2, "depth": 1}}, {"edgelist": "0 1\n1 2\n2 0"}),
+        ({"line": {"n": 0}}, {"line": {"n": "x"}}, {"line": {}}, {"ring": {}},
+         {"star": {"leaves": -2}}, {"edgelist": "0 x"}, "line", [])),
+    "signal": (
+        ({"binary": 0.75}, {"binary": "3/4"}, {"binary": 0.6},
+         {"grid": {"n": 3}}, {"atoms": [[0.5, 0.25], [0.5, 0.75]]}),
+        ({"atoms": [[1, 0], [0, 1]]}, {"binary": 0.5}, {"binary": 1.5}, {"binary": "x"}, {"grid": {"n": 1}},
+         {"atoms": [[0.5, 0.5]]}, {"atoms": "x"}, {"binary": 0.75, "grid": {}},
+         7)),
+    "strategy": (
+        ("myopic", "solve", {"sigma": {"eta": 0.25, "k": 3}},
+         {"center_bayes": {"period": 1}}, {"aux": {"family": 2, "r": 0}},
+         {"threshold_table_text": "*\tt=0;-\t1/2\t1\n*\tt=1;-\t1/4\t1/2\n"},
+         ["myopic", "myopic", "myopic"],
+         ["myopic", {"center_bayes": {"period": 1}}, "myopic"]),
+        ({"sigma": {"eta": 0.25, "k": 2}}, {"center_bayes": {"period": -1}},
+         {"aux": {"family": 3, "r": 0.5}}, {"threshold_table_text": "garbage"},
+         ["myopic", "solve"], "bogus", 5)),
+    "delta": ((0.9, "9/10", 0.99, 0.5), (0, 1.5, "x", [1])),
+    "horizon": ((0, 1, 2, 3, 5), (-1, "3", 2.5, "x")),
+    "jobs": ((1, 4), ("x",)),
+}
+MU = {"grid": ["0", "1/2", "1"], "mass_high": ["1/2", "1/4", "1/4"],
+      "mass_low": ["1/4", "1/4", "1/2"]}
+PARAMS = {
+    "eps": ((0.2, 0.05), (0, 2, "x")),
+    "m": ((0, 3, 40), (-1, "abc")),
+    "q": ((0.9, 0.6), (0.5, 1, "x")),
+    "n": ((3, 6), (1, "x")),
+    "k": ((3, 4), (2, "x")),
+    "eta": ((0.25, 0.5), (0, "x")),
+    "agent": ((0, 2), (9, "x")),
+    "stabilize": ((True, False), ("x",)),
+    "max_sweeps": ((1, 3), (0, "x")),
+    "min_p_hat": ((0.0, 0.6), (1.5, "x")),
+    "focal_agent": ((0, 2), (9, "x")),
+    "target": ((0.9, 0.2), ("x",)),
+    "sampler_delta": ((0.5, 0.9), (0, "x")),
+    "adopt_probs": (([[0.75, 0.25], [0.6, 0.4]],), ([[1, 0]], "x", [[0.5]])),
+    "mu": ((MU,), ({**MU, "grid": ["0", "1"]}, {"grid": []}, "x")),
+}
+
+
+def _chance(draw, twentieths):
+    """True with chance twentieths / 20 (hypothesis draws small integers
+    more often than others, so the choice is sampled from a list)."""
+    return draw(st.sampled_from([True] * twentieths
+                                + [False] * (20 - twentieths)))
+
+
+def _value(draw, valid, invalid):
+    return draw(st.sampled_from(valid if _chance(draw, 19) else invalid))
+
+
+@st.composite
+def configs(draw):
+    kind = _value(draw, KINDS, ("nope", None))
+    raw = {"kind": kind}
+    for name, (valid, invalid) in FIELDS.items():
+        if _chance(draw, 19):
+            raw[name] = _value(draw, valid, invalid)
+    if not _chance(draw, 19):
+        raw["bogus"] = 1
+    # Keep every run small: a few replications (auxmodel reads them as its
+    # sample size and would draw 1000 without them), a stabilised horizon
+    # of at most 5, and a ring of at most 6 agents for the relay protocol.
+    raw["replications"] = _value(draw, (1, 5, 20), (1, 5, 20)
+                                 if kind == "auxmodel" else (-1, "x", None))
+    params = {"max_horizon": draw(st.integers(0, 5)),
+              "n": _value(draw, *PARAMS["n"])}
+    for name, values in PARAMS.items():
+        if _chance(draw, 14):
+            params[name] = _value(draw, *values)
+    raw["params"] = params if _chance(draw, 19) else "x"
+    return raw
+
+
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs(), st.booleans())
+def test_random_configs_keep_the_cli_contract(raw, verify):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        argv = ["--config", str(path), "--out", str(out), "--jobs", "1"]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--verify"] if verify else argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            return
+        assert lines == []
+        report = _strict((out / "results.json").read_text())
+        manifest = _strict((out / "manifest.json").read_text())
+        assert report["ok"] is manifest["ok"] is (code == 0)
+        assert (out / "plotdata.csv").read_text().startswith("series,x,y,ci\n")
+        if (out / "results.csv").exists():
+            assert (out / "results.csv").read_text().startswith(
+                "run_id,agent,p_hat,ci,utility,truncated_fraction\n")

@@ -124,6 +124,42 @@ def test_estimate_jobs_merge_with_late_adopter():
         assert abs(u1 - u2) <= 1e-12
 
 
+def test_estimate_caps_workers_at_the_cpu_count(monkeypatch):
+    # A fake pool records its size and maps in-process: no process starts.
+    from netadopt import engine
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.shards = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            self.shards += args
+            return map(fn, args)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    net = build_line(3)
+    kwargs = dict(horizon=4, delta=0.9, n_reps=40, seed=7)
+    many = estimate(net, MODEL, myopic_rule(MODEL), jobs=1000, **kwargs)
+    (pool,) = pools
+    assert pool.max_workers == 3
+    assert len(pool.shards) == 40  # the shard split still follows jobs
+    assert many.p_hat == estimate(net, MODEL, myopic_rule(MODEL), **kwargs).p_hat
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    estimate(net, MODEL, myopic_rule(MODEL), jobs=4, **kwargs)
+    assert pools[-1].max_workers == 1
+
+
 def test_estimate_accepts_fraction_string_delta():
     net = build_line(3)
     kwargs = dict(horizon=4, n_reps=40, seed=7)

@@ -22,10 +22,9 @@ from netadopt.engine import (DecisionContext, NeighborTimes, _active_agents,
                              _normalize_profile, _record_adoptions)
 from netadopt.networks import Network, build_directed_tree, build_line
 from netadopt.signals import binary_model, grid_model
-from netadopt.solver import (SolveConfig, best_response, enumerate_scenarios,
-                             observed_history)
-from netadopt.strategies import (ThresholdRule, follow_tree_neighbors,
-                                  myopic_rule)
+from netadopt.solver import SolveConfig, best_response, enumerate_scenarios
+from netadopt.strategies import (ThresholdRule, canonical_history,
+                                 follow_tree_neighbors, myopic_rule)
 
 BINARY = binary_model(Fraction(3, 4))
 GRID = grid_model(3)
@@ -55,7 +54,7 @@ def replay_scenarios(network, model, profile, horizon, frozen=None):
                     agent=i, period=t, atom=atom_of[i],
                     belief=model.beliefs[atom_of[i]],
                     times=NeighborTimes(network.out_neighbors(i), times),
-                    rng=None, network=network)
+                    network=network)
                 p = as_fraction(strategies[i].adopt_probability(ctx))
                 if p == 1:
                     sure.append(i)
@@ -148,7 +147,8 @@ def test_frozen_expansion_equals_replay_on_the_observed_window(instance):
     network, model, profile, horizon = instance
     for frozen in network.agents:
         def seen(times):
-            return observed_history(network, frozen, times, horizon)[1]
+            return canonical_history(network.out_neighbors(frozen), times,
+                                     horizon)[1]
 
         new = merged(expanded(network, model, profile, horizon, frozen), seen)
         old = merged(replay_scenarios(network, model, profile, horizon,

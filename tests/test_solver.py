@@ -92,8 +92,19 @@ def test_solve_line_of_thirteen():
     report = solve_equilibrium(net, MODEL, cfg)
     assert report.converged
     assert report.checks.ok
-    # 13 myopic period-0 choices, each visible in the merged time vectors
-    assert report.checks.scenario_count == 2 ** 13
+    # The checks read each agent's never-adopt runs, not the 2 ** 13 joint ones
+    assert report.checks.scenario_count == sum(
+        len(enumerate_scenarios(net, MODEL, report.profile, cfg.horizon,
+                                frozen=i))
+        for i in net.agents)
+
+
+def test_solve_line_of_sixteen_at_horizon_three():
+    # 2 ** 16 joint runs; each agent's never-adopt tree stays small.
+    cfg = SolveConfig(delta=Fraction(1, 2), horizon=3)
+    report = solve_equilibrium(build_line(16), MODEL, cfg)
+    assert report.converged
+    assert report.checks.ok
 
 
 def _doubled_value(net, profile, horizon):

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from netadopt.common import NEVER, is_never
@@ -26,7 +25,7 @@ from netadopt.strategies import (
 Q = Fraction(3, 4)
 
 
-def ctx_for(network, agent, period, times_list, belief, atom=0, seed=0):
+def ctx_for(network, agent, period, times_list, belief, atom=0):
     view = NeighborTimes(network.out_neighbors(agent), times_list)
     return DecisionContext(
         agent=agent,
@@ -34,7 +33,6 @@ def ctx_for(network, agent, period, times_list, belief, atom=0, seed=0):
         atom=atom,
         belief=belief,
         times=view,
-        rng=np.random.default_rng(seed),
         network=network,
     )
 
