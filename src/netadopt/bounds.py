@@ -155,7 +155,9 @@ class CkTable:
     are large, so pbar_log_gap carries ln(1 - pbar) in log space.  It stays
     finite only while the table does: the recursion grows factorially and
     overflows to inf from m = 84 (for any eps tried), after which
-    pbar_log_gap is -inf.
+    pbar_log_gap is -inf.  ln_big[k] = ln(big[k]) and ln_neg_pbar_log_gap
+    = ln(-pbar_log_gap) are carried in log space, so they stay finite at
+    every m.
     """
 
     eps: float
@@ -167,6 +169,8 @@ class CkTable:
     big: Mapping[int, float]
     pbar: float
     pbar_log_gap: float
+    ln_big: Mapping[int, float]
+    ln_neg_pbar_log_gap: float
 
     def as_json_dict(self) -> dict:
         return {
@@ -178,6 +182,8 @@ class CkTable:
             "C_k": {str(k): v for k, v in sorted(self.big.items())},
             "pbar": self.pbar,
             "pbar_log_gap": self.pbar_log_gap,
+            "ln_C_k": {str(k): v for k, v in sorted(self.ln_big.items())},
+            "ln_neg_pbar_log_gap": self.ln_neg_pbar_log_gap,
         }
 
 
@@ -205,9 +211,14 @@ def ck_recursion(m: int, eps: float) -> CkTable:
     k_top = 2 * m + 2
     little: dict[int, float] = {0: c0, 1: max(c0, log_alpha, d)}
     big: dict[int, float] = {1: little[1]}
+    # ln C_k = ln((k + 1) C_{k-1} + ln(alpha) + D): one log-add per step,
+    # finite long after C_k itself overflows.
+    ln_step = math.log(log_alpha + d)
+    ln_big: dict[int, float] = {1: math.log(little[1])}
     for k in range(2, k_top + 1):
         little[k] = (k + 1) * big[k - 1]
         big[k] = little[k] + log_alpha + d
+        ln_big[k] = _log_add(math.log(k + 1) + ln_big[k - 1], ln_step)
     return CkTable(
         eps=eps,
         m=m,
@@ -218,7 +229,16 @@ def ck_recursion(m: int, eps: float) -> CkTable:
         big=big,
         pbar=pbar_from_info(big[k_top]),
         pbar_log_gap=-big[k_top] - 3.0 - math.log(2.0),
+        ln_big=ln_big,
+        ln_neg_pbar_log_gap=_log_add(ln_big[k_top],
+                                     math.log(3.0 + math.log(2.0))),
     )
+
+
+def _log_add(x: float, y: float) -> float:
+    """ln(e^x + e^y) without leaving log space."""
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def pbar_from_info(info: float) -> float:

@@ -105,25 +105,20 @@ class ExperimentConfig:
                 f"experiment kind must be one of {list(KINDS)}, got {kind!r}")
         if "seed" not in raw or raw["seed"] is None:
             raise ConfigError("config must set a seed")
-        try:
-            seed = int(raw["seed"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError("params must be a JSON object")
-        horizon = raw.get("horizon")
-        replications = raw.get("replications")
+        jobs = _int_field(raw, "jobs")
         return cls(
             kind=kind,
-            seed=seed,
+            seed=_int_field(raw, "seed", minimum=0),
             network=raw.get("network"),
             signal=raw.get("signal"),
             strategy=raw.get("strategy"),
             delta=raw.get("delta"),
-            horizon=None if horizon is None else int(horizon),
-            replications=None if replications is None else int(replications),
-            jobs=int(raw.get("jobs", 1)),
+            horizon=_int_field(raw, "horizon", minimum=0),
+            replications=_int_field(raw, "replications"),
+            jobs=1 if jobs is None else jobs,
             out=raw.get("out"),
             params=params,
         )
@@ -143,6 +138,21 @@ class ExperimentConfig:
             return value if convert is None or value is None else convert(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"params.{name}: {exc}") from None
+
+
+def _int_field(raw: dict, name: str, minimum: int | None = None):
+    """raw[name] as an int (None when absent); a value that does not
+    convert, or lies below minimum, is a ConfigError naming the field."""
+    value = raw.get(name)
+    if value is None:
+        return None
+    try:
+        value = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {raw[name]!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def config_hash(raw: dict) -> str:

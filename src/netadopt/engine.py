@@ -125,35 +125,86 @@ def _record_adoptions(network, times, last_cue, adopting, t) -> None:
                 last_cue[watcher] = t
 
 
+class _RunPlan:
+    """What every run of one profile on one network and model shares.
+
+    Besides the normalized strategies and their activity limits, it holds
+    one times list that each run resets, each agent's view of it (built
+    when the agent is first asked), and the quiet table: the answers given
+    while no agent the asker observes has adopted.  Then the strategy sees
+    the history (t, ()) and nothing else that differs between runs, so its
+    answer is a function of (agent, period, atom) alone.  The table holds
+    at most n * (periods run) * n_atoms entries.
+    """
+
+    __slots__ = ("network", "strategies", "spont", "lag", "beliefs",
+                 "float_beliefs", "times", "views", "quiet")
+
+    def __init__(self, network, model: SignalModel, profile):
+        self.network = network
+        self.strategies = _normalize_profile(network, profile)
+        self.spont = [s.spontaneous_until for s in self.strategies]
+        self.lag = [s.max_reaction_lag for s in self.strategies]
+        self.beliefs = model.beliefs
+        self.float_beliefs = tuple(float(b) for b in self.beliefs)
+        self.times = [NEVER] * network.n
+        self.views = [None] * network.n
+        self.quiet = {}
+
+    def decide(self, i, t, atom):
+        """Ask agent i's strategy; True adopts, False stays out, and a
+        float is the chance of adopting, drawn from the run's stream."""
+        view = self.views[i]
+        if view is None:
+            view = self.views[i] = NeighborTimes(
+                self.network.out_neighbors(i), self.times)
+        p = self.strategies[i].adopt_probability(DecisionContext(
+            agent=i, period=t, atom=atom, belief=self.beliefs[atom],
+            times=view, network=self.network))
+        return True if p == 1 else False if p == 0 else float(p)
+
+
 def run_profile(network, model: SignalModel, profile, horizon: int,
                 rng: np.random.Generator, *, state: str | None = None,
-                atoms=None) -> ActionTrace:
+                atoms=None, _plan: _RunPlan | None = None) -> ActionTrace:
     """Simulate one synchronous run and return its trace.
 
     profile is either one strategy shared by all agents or a per-agent
     mapping/sequence.  state and atoms can be pinned for conditional runs
     and designated-realization replays; otherwise the state is drawn
     uniformly and atoms i.i.d. from the model given the state.
+
+    In each period only the agents that can still act are asked (see
+    _active_agents).  An agent none of whose observed agents has adopted
+    is asked once per (period, atom), and runs that share one _plan, built
+    from the same network, model and profile, reuse that answer; estimate
+    shares one across its replications.  An agent that has seen an
+    adoption is asked at every decision.  A mixing answer draws one
+    uniform from rng, in agent order, whether it was asked or reused.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    strategies = _normalize_profile(network, profile)
+    plan = _plan if _plan is not None else _RunPlan(network, model, profile)
+    n = network.n
     if state is None:
         state = STATE_HIGH if rng.integers(0, 2) == 0 else STATE_LOW
     elif state not in (STATE_HIGH, STATE_LOW):
         raise ValueError(f"unknown state {state!r}")
     if atoms is None:
-        atoms = sample_atoms(model, state, network.n, rng)
-    atoms = [int(a) for a in atoms]
-    if len(atoms) != network.n:
-        raise ValueError("need one signal atom per agent")
-    beliefs = model.beliefs
+        atoms = sample_atoms(model, state, n, rng).tolist()
+    else:
+        atoms = [int(a) for a in atoms]
+        if len(atoms) != n:
+            raise ValueError("need one signal atom per agent")
+        if not all(0 <= a < model.n_atoms for a in atoms):
+            raise ValueError(f"signal atoms must lie in 0..{model.n_atoms - 1}")
 
-    times = [NEVER] * network.n
-    views = [NeighborTimes(network.out_neighbors(i), times) for i in network.agents]
-    spont = [s.spontaneous_until for s in strategies]
-    lag = [s.max_reaction_lag for s in strategies]
-    last_cue = [-math.inf] * network.n  # latest adoption among observed agents
+    times = plan.times
+    times[:] = [NEVER] * n
+    spont, lag, quiet, decide = plan.spont, plan.lag, plan.quiet, plan.decide
+    n_atoms = model.n_atoms
+    no_cue = -math.inf
+    last_cue = [no_cue] * n  # latest adoption among observed agents
     remaining = list(network.agents)
     quiescent_at = None
 
@@ -165,16 +216,18 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
             break
         adopting = []
         for i in active:
-            ctx = DecisionContext(
-                agent=i, period=t, atom=atoms[i], belief=beliefs[atoms[i]],
-                times=views[i], network=network,
-            )
-            p = strategies[i].adopt_probability(ctx)
-            if p == 1:
+            atom = atoms[i]
+            if last_cue[i] == no_cue:
+                # (agent, period, atom) packed into one int
+                key = (t * n + i) * n_atoms + atom
+                verdict = quiet.get(key)
+                if verdict is None:
+                    verdict = quiet[key] = decide(i, t, atom)
+            else:
+                verdict = decide(i, t, atom)
+            if verdict is True or (verdict is not False
+                                   and rng.random() < verdict):
                 adopting.append(i)
-            elif p != 0:
-                if rng.random() < float(p):
-                    adopting.append(i)
         _record_adoptions(network, times, last_cue, adopting, t)
         if adopting:
             remaining = [i for i in remaining if is_never(times[i])]
@@ -185,7 +238,7 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
         horizon=horizon,
         state=state,
         atoms=tuple(atoms),
-        beliefs=tuple(float(beliefs[a]) for a in atoms),
+        beliefs=tuple(plan.float_beliefs[a] for a in atoms),
         truncated=truncated,
         quiescent_at=quiescent_at,
     )
@@ -245,7 +298,10 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     """Estimate eventual correctness and discounted utility per agent.
 
     Runs n_reps independent replications; replication r uses a random
-    stream derived from (seed, r), so results are reproducible.  jobs > 1
+    stream derived from (seed, r), so results are reproducible.  The
+    replications of one shard share one _RunPlan: a strategy is asked once
+    per (agent, period, signal atom) while none of the agents it observes
+    has adopted, and at every decision after that (see run_profile).  jobs > 1
     splits the replications into jobs shards, run by at most one worker
     process per CPU, with a deterministic merge: counts and fractions do not
     depend on jobs, but the float utility sums are added shard by shard, so
@@ -308,9 +364,10 @@ def _estimate_shard(packed):
     util = np.zeros(n, dtype=np.float64)
     truncated = 0
     quiescent = 0
+    plan = _RunPlan(network, model, profile)
     for rep in range(lo, hi):
         rng = _replication_rng(seed, rep)
-        trace = run_profile(network, model, profile, horizon, rng)
+        trace = run_profile(network, model, profile, horizon, rng, _plan=plan)
         flags, _ = adjudicate(trace)
         high = trace.state == STATE_HIGH
         for i, tau in enumerate(trace.times):

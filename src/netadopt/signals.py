@@ -204,6 +204,10 @@ def signal_model_from_spec(spec) -> SignalModel:
     if kind == "binary":
         return binary_model(body)
     if kind == "atoms":
+        if not isinstance(body, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in body):
+            raise ValueError("signal atoms must be a list of [likelihood_H, "
+                             f"likelihood_L] pairs, got {body!r}")
         return SignalModel(atoms=tuple((as_fraction(a), as_fraction(b)) for a, b in body))
     if kind == "grid":
         body = body or {}

@@ -46,7 +46,7 @@ from .networks import (
 )
 from .signals import SignalModel, binary_model
 from .strategies import (FollowRule, HALF, Strategy, ThresholdRule,
-                         canonical_history, myopic_rule)
+                         canonical_history, history_key_to_text, myopic_rule)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -226,7 +226,12 @@ def _history_tree(network, model, profile, agent, horizon, max_scenarios):
 
 def _parent(key) -> tuple:
     t, pairs = key
-    return (t - 1, tuple(p for p in pairs if p[1] < t - 1))
+    # Small tuples on this path are built from lists.  tuple() of a
+    # generator allocates spare slots and shrinks the tuple; CPython then
+    # files the freed tuple under its final size on a free list, which
+    # filled sweep by sweep (about 70 KiB more resident memory on a line
+    # of 7 at horizon 5).
+    return (t - 1, tuple([p for p in pairs if p[1] < t - 1]))
 
 
 def _probs_at(strategy, network, model, agent, key) -> list:
@@ -286,8 +291,8 @@ def _node_margins(network, model, profile, agent, config):
         below = cont.pop(key, none)
         stop = [disc * (lh * w_high - ll * w_low) for lh, ll in model.atoms]
         # Keep only the sign: exact margins for every history would sit in
-        # memory next to the tree.
-        margins[key] = tuple((s > c) - (s < c) for s, c in zip(stop, below))
+        # memory next to the tree.  (A list first; see _parent.)
+        margins[key] = tuple([(s > c) - (s < c) for s, c in zip(stop, below)])
         if key[0]:
             parent = _parent(key)
             cont[parent] = [v + max(s, c) for v, s, c in
@@ -420,10 +425,20 @@ def _is_threshold_shape(row) -> bool:
     return all(p == 1 for p in row[i:])
 
 
-def _profile_fingerprint(profile: dict) -> tuple:
-    return tuple((i, tuple(sorted((key, value) for (_, key), value
-                                  in profile[i].entries.items())))
-                 for i in sorted(profile))
+def _profile_fingerprint(profile: dict) -> str:
+    """Exact text of a profile for the cycle check: the agent ids, then one
+    agent, history, threshold, mix line per entry in sorted order.
+
+    Equal texts mean equal entries (Fractions print canonically).  Unlike a
+    tuple of the entries, the text keeps no history key or Fraction of a
+    profile that later sweeps replace alive.
+    """
+    lines = [",".join(str(i) for i in sorted(profile))]
+    for i in sorted(profile):
+        for key, (thr, mix) in sorted((key, value) for (_, key), value
+                                      in profile[i].entries.items()):
+            lines.append(f"{i}\t{history_key_to_text(key)}\t{thr}\t{mix}")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -445,10 +460,9 @@ def _profile_residual(old: dict, new: dict) -> float:
     def thr_of(prof, i, key):
         hit = prof[i].lookup(i, key)
         return float(hit[0]) if hit else 1.0
-    keys = {(i, key) for prof in (old, new) for i, rule in prof.items()
-            for _, key in rule.entries}
     return max((abs(thr_of(old, i, key) - thr_of(new, i, key))
-                for i, key in keys), default=0.0)
+                for prof in (old, new) for i, rule in prof.items()
+                for _, key in rule.entries), default=0.0)
 
 
 def solve_equilibrium(network, model: SignalModel, config: SolveConfig,

@@ -1,10 +1,14 @@
-"""The engine asks only agents that can still act; nothing else changes.
+"""The engine asks only agents that can still act, each quiet answer once;
+nothing else changes.
 
 run_profile skips agents past their declared spontaneous_until and
 max_reaction_lag, and CenterBayesRule answers from an exact table.  The
 reference loop below asks every remaining agent in every period and stops
-only when none of them can act.  Both must give the same trace, and
-consume the same random draws, for every replication.
+only when none of them can act.  Runs that share one _RunPlan (estimate's
+replications) also reuse the answers an agent gave while none of its
+observed agents had adopted; the second reference below is the loop that
+asked every active agent afresh in every run.  All must give the same
+trace, and consume the same random draws, for every replication.
 """
 
 import math
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from netadopt.common import NEVER, STATE_HIGH, STATE_LOW, is_never
 from netadopt.engine import (ActionTrace, DecisionContext, NeighborTimes,
+                             _active_agents, _record_adoptions, _RunPlan,
                              _replication_rng, run_profile)
 from netadopt.networks import Network, build_line, build_star
 from netadopt.signals import binary_model, grid_model, sample_atoms
@@ -61,6 +66,46 @@ def reference_run(network, model, strategies, horizon, rng):
         for i in adopting:
             times[i] = t
         remaining = [i for i in remaining if is_never(times[i])]
+    return ActionTrace(
+        times=tuple(times), horizon=horizon, state=state, atoms=tuple(atoms),
+        beliefs=tuple(float(model.beliefs[a]) for a in atoms),
+        truncated=bool(remaining) and quiescent_at is None,
+        quiescent_at=quiescent_at)
+
+
+def ask_active_run(network, model, strategies, horizon, rng):
+    """run_profile before the shared table: a fresh view of every agent in
+    each run, and every active agent asked in every period."""
+    state = STATE_HIGH if rng.integers(0, 2) == 0 else STATE_LOW
+    atoms = [int(a) for a in sample_atoms(model, state, network.n, rng)]
+    times = [NEVER] * network.n
+    views = [NeighborTimes(network.out_neighbors(i), times)
+             for i in network.agents]
+    spont = [s.spontaneous_until for s in strategies]
+    lag = [s.max_reaction_lag for s in strategies]
+    last_cue = [-math.inf] * network.n
+    remaining = list(network.agents)
+    quiescent_at = None
+    for t in range(horizon + 1):
+        active = _active_agents(remaining, t, spont, lag, last_cue)
+        if not active:
+            if remaining:
+                quiescent_at = t
+            break
+        adopting = []
+        for i in active:
+            ctx = DecisionContext(agent=i, period=t, atom=atoms[i],
+                                  belief=model.beliefs[atoms[i]],
+                                  times=views[i], network=network)
+            p = strategies[i].adopt_probability(ctx)
+            if p == 1:
+                adopting.append(i)
+            elif p != 0:
+                if rng.random() < float(p):
+                    adopting.append(i)
+        _record_adoptions(network, times, last_cue, adopting, t)
+        if adopting:
+            remaining = [i for i in remaining if is_never(times[i])]
     return ActionTrace(
         times=tuple(times), horizon=horizon, state=state, atoms=tuple(atoms),
         beliefs=tuple(float(model.beliefs[a]) for a in atoms),
@@ -156,6 +201,22 @@ def test_run_profile_matches_the_ask_everyone_reference(case, horizon, seed):
         assert trace == expected
         # the same draws were consumed from the replication stream
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_runs_sharing_one_plan_match_asking_every_run(case, horizon, seed):
+    network, model, strategies = case
+    plan = _RunPlan(network, model, strategies)
+    for rep in range(8):
+        rng = _replication_rng(seed, rep)
+        ref_rng = _replication_rng(seed, rep)
+        trace = run_profile(network, model, strategies, horizon, rng,
+                            _plan=plan)
+        expected = ask_active_run(network, model, strategies, horizon, ref_rng)
+        assert trace == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(plan.quiet) <= network.n * (horizon + 1) * model.n_atoms
 
 
 def _product_table(model, atom, max_observed):

@@ -177,6 +177,25 @@ def test_ck_recursion_pbar_gap():
     assert table.pbar_log_gap == -table.big[4] - 3.0 - math.log(2.0)
 
 
+def test_ck_recursion_log_space_survives_the_overflow():
+    table = ck_recursion(200, 0.2)
+    ks = sorted(table.ln_big)
+    assert ks == sorted(table.big)
+    logs = [table.ln_big[k] for k in ks]
+    assert all(math.isfinite(v) for v in logs)
+    assert all(a < b for a, b in zip(logs, logs[1:]))
+    finite = [k for k in ks if math.isfinite(table.big[k])]
+    assert finite and len(finite) < len(ks)  # the plain table overflows
+    for k in finite:
+        assert math.isclose(table.ln_big[k], math.log(table.big[k]),
+                            rel_tol=1e-14)
+    assert table.pbar_log_gap == -math.inf
+    assert math.isfinite(table.ln_neg_pbar_log_gap)
+    small = ck_recursion(1, 0.25)
+    assert math.isclose(small.ln_neg_pbar_log_gap,
+                        math.log(-small.pbar_log_gap), rel_tol=1e-14)
+
+
 def test_ck_recursion_validation():
     with pytest.raises(ValueError, match="at least 1"):
         ck_recursion(0, 0.25)

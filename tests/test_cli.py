@@ -70,6 +70,27 @@ def test_missing_seed_is_a_validation_failure(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_non_integer_horizon_names_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**simulate_config(), "horizon": "x"})
+    assert run(cfg, out=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon ") and "'x'" in err
+
+
+def test_negative_seed_names_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", simulate_config(seed=-3))
+    assert run(cfg, out=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+
+def test_malformed_signal_atoms_name_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**simulate_config(), "signal": {"atoms": "x"}})
+    assert run(cfg, out=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: signal atoms ")
+
+
 def test_unknown_kind_is_a_validation_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"kind": "frobnicate", "seed": 1})
     assert run(cfg, out=tmp_path / "out") == 2
@@ -238,6 +259,9 @@ def test_bounds_kind_writes_strict_json_past_the_overflow(tmp_path):
     assert report["C_k"]["402"] == "Infinity"
     assert math.isfinite(report["C_k"]["2"])
     assert float(report["C_k"]["402"]) == math.inf
+    # the log-space copies keep the values the overflow loses
+    assert math.isfinite(report["ln_C_k"]["402"])
+    assert report["ln_neg_pbar_log_gap"] >= report["ln_C_k"]["402"]
 
 
 def test_bounds_kind_chi_violation_exits_three(tmp_path):

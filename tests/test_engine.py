@@ -67,6 +67,10 @@ def test_run_profile_validation():
         run_profile(net, MODEL, myopic_rule(MODEL), horizon=1, rng=rng, state="M")
     with pytest.raises(ValueError, match="one signal atom per agent"):
         run_profile(net, MODEL, myopic_rule(MODEL), horizon=1, rng=rng, atoms=[0])
+    for atoms in ([0, -1], [2, 0]):
+        with pytest.raises(ValueError, match="atoms must lie in 0..1"):
+            run_profile(net, MODEL, myopic_rule(MODEL), horizon=1, rng=rng,
+                        atoms=atoms)
     with pytest.raises(ValueError, match="no strategy for agent"):
         run_profile(net, MODEL, {0: myopic_rule(MODEL)}, horizon=1, rng=rng)
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netadopt.common import NEVER, STATE_HIGH, ImpossibleHistoryError, is_never
 from netadopt.engine import run_profile
@@ -10,6 +12,7 @@ from netadopt.networks import build_line
 from netadopt.signals import binary_model
 from netadopt.solver import (
     SolveConfig,
+    _profile_fingerprint,
     best_response,
     enumerate_scenarios,
     exact_posterior,
@@ -226,3 +229,60 @@ def test_solved_tables_round_trip_as_text():
         table = report.profile[i]
         back = ThresholdRule.from_text(table.to_text())
         assert back.entries == table.entries
+
+
+def tuple_fingerprint(profile):
+    """The cycle check's fingerprint as tuples: per agent in id order, its
+    sorted (history key, (threshold, mix)) entries, whoever they name."""
+    return tuple((i, tuple(sorted((key, value) for (_, key), value
+                                  in profile[i].entries.items())))
+                 for i in sorted(profile))
+
+
+ENTRY = st.tuples(
+    st.booleans(),                                   # wildcard agent
+    st.integers(0, 2),                               # period
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=2,
+             unique_by=lambda pair: pair[0]),        # observed adoptions
+    st.sampled_from((Fraction(1, 4), Fraction(2, 4), 0.5, Fraction(3, 4),
+                     Fraction(1))),                  # threshold
+    st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1))))  # mix
+SPEC = st.dictionaries(st.integers(0, 3), st.lists(ENTRY, max_size=3),
+                       max_size=3)
+
+
+def _profile(spec):
+    return {i: ThresholdRule(entries={
+        (None if wild else i, (t, tuple(pairs))): (thr, mix)
+        for wild, t, pairs, thr, mix in rows}) for i, rows in spec.items()}
+
+
+@st.composite
+def profile_pairs(draw):
+    """Two profiles, the second often the first with one small edit."""
+    first = draw(SPEC)
+    second = {i: list(rows) for i, rows in first.items()}
+    edit = draw(st.sampled_from(("same", "row", "drop", "agent", "fresh")))
+    agents = sorted(second)
+    if edit == "row" and agents:
+        rows = second[draw(st.sampled_from(agents))]
+        if rows:
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(ENTRY)
+    elif edit == "drop" and agents:
+        rows = second[draw(st.sampled_from(agents))]
+        if rows:
+            rows.pop()
+    elif edit == "agent":
+        second.setdefault(draw(st.integers(0, 4)), [])
+    elif edit == "fresh":
+        second = draw(SPEC)
+    return _profile(first), _profile(second)
+
+
+@settings(max_examples=400, deadline=None)
+@given(profile_pairs())
+def test_fingerprint_text_is_equal_exactly_when_the_tuples_are(pair):
+    a, b = pair
+    assert isinstance(_profile_fingerprint(a), str)
+    assert ((_profile_fingerprint(a) == _profile_fingerprint(b))
+            == (tuple_fingerprint(a) == tuple_fingerprint(b)))
