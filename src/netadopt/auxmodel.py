@@ -18,7 +18,7 @@ import numpy as np
 
 from .common import as_fraction, is_never
 from .signals import SignalModel
-from .strategies import HALF, RootStrategySpec, _aux_action_raw
+from .strategies import HALF, RootStrategySpec
 
 _SUM_TOL = 1e-12
 
@@ -51,7 +51,7 @@ class Mu:
             raise ValueError("mass vectors must match the grid length")
         if grid[-1] != 1:
             raise ValueError("last grid point must be exactly 1")
-        if grid[0] < 0:
+        if not all(0 <= g <= 1 for g in grid):
             raise ValueError("grid points must lie in [0, 1]")
         if any(a >= b for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly ascending")
@@ -164,36 +164,68 @@ def w_mu(mu: Mu, model: SignalModel, a: RootStrategySpec):
     state-difference removes the utility scale.  That identity is what the
     consistency tests check.
     """
-    return _w_on_grid(mu, a.family, _snap_r(mu, a.r), _signal_split(model))
+    k = mu.grid.index(_snap_r(mu, a.r))
+    return _w_on_grid(a.family, k, _grid_tables(mu, model))
 
 
-def _w_on_grid(mu: Mu, family: int, r, signal_split):
-    """w_mu for a switch time r that is one of mu's own grid points.
+def _pair_products(masses):
+    """(i, j, masses[i] * masses[j]) over the nonzero masses, row-major."""
+    nonzero = [(i, m) for i, m in enumerate(masses) if m]
+    return [(i, j, mi * mj) for i, mi in nonzero for j, mj in nonzero]
 
-    signal_split is _signal_split of the root's signal model.
+
+def _grid_tables(mu: Mu, model: SignalModel):
+    """What _w_on_grid reads of one child law and signal model.
+
+    Holds 1 - t per grid point; the pair products of the high and the low
+    masses; per state, the mean of 1 - t1 over the pairs, which is what
+    family 2 earns on a low own signal whatever r is; and (p_high,
+    1 - p_high, p_low, 1 - p_low) from _signal_split.  None of it depends
+    on the family or the switch time, so psi builds it once.
     """
-    def mean_one_minus_action(masses, belief_high: bool):
+    p_high, p_low = _signal_split(model)
+    one_minus = [1 - t for t in mu.grid]
+    pairs = (_pair_products(mu.mass_high), _pair_products(mu.mass_low))
+    copies = []
+    for pair_list in pairs:
         total = 0
-        for t1, m1 in zip(mu.grid, masses):
-            if not m1:
-                continue
-            for t2, m2 in zip(mu.grid, masses):
-                if not m2:
-                    continue
-                act = _aux_action_raw(family, r, t1, t2, belief_high)
-                total += m1 * m2 * (1 - act)
+        for i, _, p in pair_list:
+            total += p * one_minus[i]
+        copies.append(total)
+    return one_minus, pairs, copies, (p_high, 1 - p_high, p_low, 1 - p_low)
+
+
+def _w_on_grid(family: int, k: int, tables):
+    """w_mu for the switch time r = mu.grid[k]; tables is _grid_tables.
+
+    Each state's value sums p * (1 - act) over the pairs of both
+    children's grid points, where p is the pair's mass product and act is
+    the root's adoption time.  The grid ascends, so t > r is i > k, and
+    act is always a grid point.  Float sums add one term at a time in
+    row-major pair order, which keeps every value bit-identical to a
+    double loop over the grid.  A call costs O(P) for P pairs of nonzero
+    masses, at most G**2 on a grid of G points.
+    """
+    one_minus, pairs, (high_other, low_other), weights = tables
+
+    def mean_one_minus_action(pair_list):
+        total = 0
+        if family == 1:
+            for i, j, p in pair_list:
+                total += p * one_minus[i if i > k else (j if j > k else k)]
+        else:
+            # High own signal: adopt at r when only child 2 has adopted.
+            for i, j, p in pair_list:
+                total += p * one_minus[k if (i > k and j <= k) else i]
         return total
 
-    high_branch = mean_one_minus_action(mu.mass_high, True)
-    low_branch = mean_one_minus_action(mu.mass_low, True)
+    high_branch, low_branch = map(mean_one_minus_action, pairs)
     if family == 1:
         # Family 1 never consults the signal; a single branch suffices.
         return high_branch - low_branch
-    p_high, p_low = signal_split
-    high_other = mean_one_minus_action(mu.mass_high, False)
-    low_other = mean_one_minus_action(mu.mass_low, False)
-    value_high = p_high * high_branch + (1 - p_high) * high_other
-    value_low = p_low * low_branch + (1 - p_low) * low_other
+    p_high, q_high, p_low, q_low = weights
+    value_high = p_high * high_branch + q_high * high_other
+    value_low = p_low * low_branch + q_low * low_other
     return value_high - value_low
 
 
@@ -211,22 +243,29 @@ def psi(mu: Mu, model: SignalModel, r_grid: Optional[Sequence] = None) -> PsiRes
     r_grid defaults to the full support grid and must be a subset of it;
     restricting the search to the support loses nothing for atomic
     distributions because the family rules only compare times against r.
+
+    The pair products are formed once per call and shared by every
+    family, switch time and signal branch, so a call on a grid of G points
+    with P pairs of nonzero masses costs O(G * P) multiply-adds, at most
+    O(G**3).  Float values keep the sums in grid-pair order and are
+    bit-identical to evaluating each switch time on its own.
     """
-    # Each candidate is matched to the grid's own point once, by exact value.
-    on_grid = {}
-    for g in mu.grid:
-        on_grid.setdefault(as_fraction(g), g)
     if r_grid is None:
-        r_grid = mu.grid
-    points = [(r, on_grid.get(as_fraction(r))) for r in r_grid]
-    missing = [r for r, g in points if g is None]
-    if missing:
-        raise ValueError(f"switch times {missing} are not on the support grid")
-    split = _signal_split(model)
+        points = list(enumerate(mu.grid))
+    else:
+        # Each candidate is matched to the grid's own point by exact value.
+        on_grid = {}
+        for k, g in enumerate(mu.grid):
+            on_grid.setdefault(as_fraction(g), k)
+        points = [(on_grid.get(as_fraction(r)), r) for r in r_grid]
+        missing = [r for k, r in points if k is None]
+        if missing:
+            raise ValueError(f"switch times {missing} are not on the support grid")
+    tables = _grid_tables(mu, model)
     best = None
     for family in (1, 2):
-        for r, g in points:
-            value = _w_on_grid(mu, family, g, split)
+        for k, r in points:
+            value = _w_on_grid(family, k, tables)
             if best is None or value > best.value:
                 best = PsiResult(value=value,
                                  argmax=RootStrategySpec(family=family, r=r))

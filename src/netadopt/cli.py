@@ -117,7 +117,7 @@ class ExperimentConfig:
             strategy=raw.get("strategy"),
             delta=raw.get("delta"),
             horizon=_int_field(raw, "horizon", minimum=0),
-            replications=_int_field(raw, "replications"),
+            replications=_int_field(raw, "replications", minimum=1),
             jobs=1 if jobs is None else jobs,
             out=raw.get("out"),
             params=params,
@@ -350,9 +350,8 @@ def _run_bounds(config: ExperimentConfig, verify: bool) -> _Outcome:
 def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
     signal = config.signal or {"binary": 0.75}
     model = signal_model_from_spec(signal)
-    mu_spec = config.param("mu")
-    if mu_spec is not None:
-        mu = Mu.from_json_dict(mu_spec)
+    mu = config.param("mu", convert=Mu.from_json_dict)
+    if mu is not None:
         u = u_of_mu(mu)
         eta = eta_of_mu(mu)
         best = psi(mu, model)
@@ -365,8 +364,8 @@ def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
             "improvement": float(best.value - u),
         }
         ok = True
-        eps = config.param("eps")
-        if eps is not None and eta >= as_fraction(eps) and u > 0:
+        eps = config.param("eps", convert=as_fraction)
+        if eps is not None and eta >= eps and u > 0:
             report["eps"] = float(eps)
             ok = best.value > u
         if verify:
@@ -378,9 +377,9 @@ def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
                 and abs(float(w_zero)) <= 1e-12
         return _Outcome(report=report, ok=ok)
     eps = config.param("eps", required=True, convert=float)
-    n = config.replications or 1000
-    sampler = default_sampler(
-        delta=config.param("sampler_delta", 0.5, convert=float))
+    n = 1000 if config.replications is None else config.replications
+    sampler = config.param("sampler_delta", 0.5,
+                           convert=lambda d: default_sampler(delta=float(d)))
     result = estimate_C_eps(eps, model, sampler, n,
                             rng=np.random.default_rng(config.seed))
     report = {

@@ -46,6 +46,9 @@ def test_mu_validation():
         Mu(grid=(one,), mass_high=(one, one), mass_low=(one,))
     with pytest.raises(ValueError, match="exactly 1"):
         Mu(grid=(Fraction(1, 2),), mass_high=(one,), mass_low=(one,))
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        Mu(grid=(0.0, float("nan"), 1.0), mass_high=(1.0, 0.0, 0.0),
+           mass_low=(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="ascending"):
         Mu(grid=(Fraction(1, 2), Fraction(1, 2), one),
            mass_high=(one, 0, 0), mass_low=(one, 0, 0))

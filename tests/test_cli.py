@@ -497,6 +497,42 @@ def test_bad_numeric_param_names_its_field(tmp_path, capsys, params, field):
     assert err.startswith(f"error: {field}: ")
 
 
+AUX_MU = {"grid": ["0", "1"], "mass_high": ["4/5", "1/5"],
+          "mass_low": ["1/5", "4/5"]}
+
+
+@pytest.mark.parametrize("params, field, message", [
+    ({"eps": 0.1, "sampler_delta": 1.5}, "params.sampler_delta",
+     "discount must lie strictly between 0 and 1"),
+    ({"mu": AUX_MU, "eps": "x"}, "params.eps", "'x'"),
+    ({"mu": {**AUX_MU, "mass_low": ["1"]}}, "params.mu",
+     "mass vectors must match the grid length"),
+])
+def test_bad_auxmodel_param_names_its_field(tmp_path, capsys, params, field,
+                                            message):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "auxmodel", "seed": 1,
+                                              "replications": 5,
+                                              "params": params})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {field}: ") and message in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "auxmodel", "seed": 1, "params": {"eps": 0.1}},
+    simulate_config(),
+    {"kind": "protocol-sigma", "seed": 5, "signal": {"binary": 0.75},
+     "params": {"n": 14, "k": 3, "eta": 0.25}},
+], ids=lambda payload: payload["kind"])
+def test_replications_below_one_names_the_field(tmp_path, capsys, payload):
+    # Zero replications used to mean 1000 samples on auxmodel.
+    cfg = write_config(tmp_path, "cfg.json", {**payload, "replications": 0})
+    assert run(cfg, out=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: replications must be >= 1, got 0")
+
+
 def test_config_rejects_non_object_payload(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")
