@@ -44,7 +44,8 @@ from .auxmodel import (
     w_mu,
 )
 from .bounds import bound_report
-from .common import STATE_HIGH, STATE_LOW, RegimeError, as_fraction, is_never
+from .common import (STATE_HIGH, STATE_LOW, RegimeError, as_fraction, as_int,
+                     is_never)
 from .engine import (_replication_rng, estimate, outsider_posterior, run_profile,
                      sigma_ring_estimate, sigma_ring_times)
 from .networks import build_line, network_from_spec
@@ -147,8 +148,8 @@ def _int_field(raw: dict, name: str, minimum: int | None = None):
     if value is None:
         return None
     try:
-        value = int(value)
-    except (TypeError, ValueError, OverflowError):
+        value = as_int(value)
+    except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw[name]!r}") from None
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
@@ -194,9 +195,9 @@ def _solve_config(config: ExperimentConfig, stabilize_default=True) -> SolveConf
     return SolveConfig(
         delta=as_fraction(config.delta),
         horizon=config.horizon,
-        max_sweeps=config.param("max_sweeps", 40, convert=int),
+        max_sweeps=config.param("max_sweeps", 40, convert=as_int),
         raise_horizon=bool(config.param("stabilize", stabilize_default)),
-        max_horizon=config.param("max_horizon", 24, convert=int),
+        max_horizon=config.param("max_horizon", 24, convert=as_int),
     )
 
 
@@ -230,7 +231,7 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
     model = signal_model_from_spec(config.signal)
     min_p = config.param("min_p_hat", convert=float)
     if min_p is not None:
-        focal = config.param("focal_agent", 0, convert=int)
+        focal = config.param("focal_agent", 0, convert=as_int)
         if not 0 <= focal < network.n:
             raise ConfigError(f"params.focal_agent must be in 0..{network.n - 1}"
                               f", got {focal}")
@@ -322,7 +323,7 @@ def _run_verify_spontaneous(config: ExperimentConfig, verify: bool) -> _Outcome:
 
 def _run_bounds(config: ExperimentConfig, verify: bool) -> _Outcome:
     eps = config.param("eps", required=True, convert=float)
-    m = config.param("m", required=True, convert=int)
+    m = config.param("m", required=True, convert=as_int)
     adopt_probs = config.param(
         "adopt_probs",
         convert=lambda pairs: [(float(p), float(r)) for p, r in pairs])
@@ -402,12 +403,12 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
     if not (isinstance(signal, dict) and set(signal) == {"binary"}):
         raise ConfigError("protocol-sigma needs a binary signal spec")
     q = signal["binary"]
-    n = config.param("n", 5000, convert=int)
-    k = config.param("k", 50, convert=int)
+    n = config.param("n", 5000, convert=as_int)
+    k = config.param("k", 50, convert=as_int)
     eta = config.param("eta", required=True, convert=float)
     result = sigma_ring_estimate(n, k, eta, q, config.replications,
                                  config.seed,
-                                 agent=config.param("agent", convert=int))
+                                 agent=config.param("agent", convert=as_int))
     rows = list(result.rows())
     plot = [{"series": "p_hat_by_agent", "x": r["agent"], "y": r["p_hat"],
              "ci": r["ci"]} for r in rows]

@@ -54,3 +54,40 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a fraction")
+
+
+def as_int(x) -> int:
+    """Convert a number or numeric string to an int, refusing to truncate:
+    3.7, "3.5" and None raise ValueError."""
+    try:
+        number = int(x)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (not isinstance(x, str) and number != x):
+        raise ValueError(f"must be an integer, got {x!r}")
+    return number
+
+
+_REQUIRED = object()
+
+
+def spec_value(body, name: str, where: str, convert, default=_REQUIRED):
+    """body[name] of the config fragment where, through convert.
+
+    A null body has no fields, and a null field gives default.  A missing
+    required field, a body that is not a mapping, and a value convert
+    rejects are each a ValueError that names the field as where.name.
+    """
+    if body is None:
+        body = {}
+    if not isinstance(body, dict):
+        raise ValueError(f"{where} must be a mapping, got {body!r}")
+    value = body.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}.{name} is required")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}.{name}: {exc}") from None

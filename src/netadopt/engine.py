@@ -128,17 +128,18 @@ def _record_adoptions(network, times, last_cue, adopting, t) -> None:
 class _RunPlan:
     """What every run of one profile on one network and model shares.
 
-    Besides the normalized strategies and their activity limits, it holds
-    one times list that each run resets, each agent's view of it (built
-    when the agent is first asked), and the quiet table: the answers given
-    while no agent the asker observes has adopted.  Then the strategy sees
-    the history (t, ()) and nothing else that differs between runs, so its
-    answer is a function of (agent, period, atom) alone.  The table holds
-    at most n * (periods run) * n_atoms entries.
+    Strategies, activity limits, one times list that each run resets, each
+    agent's view of it and key function (built on first use), and the memo.
+    While no agent an agent observes has adopted, the strategy sees the
+    history (t, ()) and nothing else that differs between runs, so quiet
+    files its answer under (agent, period, atom).  After that, by_strategy
+    files it under the key its strategy's decision_key gives, which captures
+    all the answer reads, in one dict per strategy object shared by its agents.
     """
 
     __slots__ = ("network", "strategies", "spont", "lag", "beliefs",
-                 "float_beliefs", "times", "views", "quiet")
+                 "float_beliefs", "times", "views", "keys", "quiet",
+                 "by_strategy")
 
     def __init__(self, network, model: SignalModel, profile):
         self.network = network
@@ -149,18 +150,28 @@ class _RunPlan:
         self.float_beliefs = tuple(float(b) for b in self.beliefs)
         self.times = [NEVER] * network.n
         self.views = [None] * network.n
+        self.keys = [None] * network.n
         self.quiet = {}
+        self.by_strategy = {}
+
+    def view(self, i) -> NeighborTimes:
+        if self.views[i] is None:
+            self.views[i] = NeighborTimes(self.network.out_neighbors(i), self.times)
+        return self.views[i]
+
+    def key_function(self, i):
+        """(agent i's decision key function or None, its strategy's dict)."""
+        s = self.strategies[i]
+        key = s.decision_key(self.network, i, self.view(i))
+        pair = self.keys[i] = (key, key and self.by_strategy.setdefault(id(s), {}))
+        return pair
 
     def decide(self, i, t, atom):
         """Ask agent i's strategy; True adopts, False stays out, and a
         float is the chance of adopting, drawn from the run's stream."""
-        view = self.views[i]
-        if view is None:
-            view = self.views[i] = NeighborTimes(
-                self.network.out_neighbors(i), self.times)
         p = self.strategies[i].adopt_probability(DecisionContext(
             agent=i, period=t, atom=atom, belief=self.beliefs[atom],
-            times=view, network=self.network))
+            times=self.view(i), network=self.network))
         return True if p == 1 else False if p == 0 else float(p)
 
 
@@ -175,12 +186,12 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
     uniformly and atoms i.i.d. from the model given the state.
 
     In each period only the agents that can still act are asked (see
-    _active_agents).  An agent none of whose observed agents has adopted
-    is asked once per (period, atom), and runs that share one _plan, built
-    from the same network, model and profile, reuse that answer; estimate
-    shares one across its replications.  An agent that has seen an
-    adoption is asked at every decision.  A mixing answer draws one
-    uniform from rng, in agent order, whether it was asked or reused.
+    _active_agents).  Each answer is filed in the memo of _plan under its
+    decision key (see _RunPlan), and a later decision with the same key, in
+    this run or another that shares _plan (same network, model and
+    profile), reuses it; estimate shares one across its replications.  A
+    mixing answer draws one uniform from rng, in agent order, whether it
+    was asked or reused.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -201,7 +212,7 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
 
     times = plan.times
     times[:] = [NEVER] * n
-    spont, lag, quiet, decide = plan.spont, plan.lag, plan.quiet, plan.decide
+    spont, lag, keys, quiet = plan.spont, plan.lag, plan.keys, plan.quiet
     n_atoms = model.n_atoms
     no_cue = -math.inf
     last_cue = [no_cue] * n  # latest adoption among observed agents
@@ -219,18 +230,22 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
             atom = atoms[i]
             if last_cue[i] == no_cue:
                 # (agent, period, atom) packed into one int
-                key = (t * n + i) * n_atoms + atom
-                verdict = quiet.get(key)
-                if verdict is None:
-                    verdict = quiet[key] = decide(i, t, atom)
+                key, memo = (t * n + i) * n_atoms + atom, quiet
             else:
-                verdict = decide(i, t, atom)
+                keyer, memo = keys[i] or plan.key_function(i)
+                key = keyer and keyer(t, atom)
+            if key is None:
+                verdict = plan.decide(i, t, atom)
+            else:
+                verdict = memo.get(key)
+                if verdict is None:
+                    verdict = memo[key] = plan.decide(i, t, atom)
             if verdict is True or (verdict is not False
                                    and rng.random() < verdict):
                 adopting.append(i)
         _record_adoptions(network, times, last_cue, adopting, t)
         if adopting:
-            remaining = [i for i in remaining if is_never(times[i])]
+            remaining = [i for i in remaining if times[i] == NEVER]
 
     truncated = bool(remaining) and quiescent_at is None
     return ActionTrace(
@@ -299,14 +314,13 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
 
     Runs n_reps independent replications; replication r uses a random
     stream derived from (seed, r), so results are reproducible.  The
-    replications of one shard share one _RunPlan: a strategy is asked once
-    per (agent, period, signal atom) while none of the agents it observes
-    has adopted, and at every decision after that (see run_profile).  jobs > 1
-    splits the replications into jobs shards, run by at most one worker
-    process per CPU, with a deterministic merge: counts and fractions do not
-    depend on jobs, but the float utility sums are added shard by shard, so
-    utilities can differ in the last bits between job counts.  delta may be
-    a number or a "p/q" string.
+    replications of one shard share one _RunPlan, so a strategy is asked
+    once per decision key and shard (see run_profile).  jobs > 1 splits the
+    replications into jobs shards, run by at most one worker process per
+    CPU, with a deterministic merge: counts and fractions do not depend on
+    jobs, but the float utility sums are added shard by shard, so utilities
+    can differ in the last bits between job counts.  delta may be a number
+    or a "p/q" string.
     """
     if n_reps <= 0:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
@@ -327,7 +341,6 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     else:
         partials = [_estimate_shard(a) for a in args]
 
-    n = network.n
     correct = sum(p["correct"] for p in partials)
     util = sum(p["util"] for p in partials)
     truncated_runs = sum(p["truncated"] for p in partials)
@@ -336,7 +349,7 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     p_hat = correct / n_reps
     ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / n_reps)
     return EstimateReport(
-        n_agents=n,
+        n_agents=network.n,
         n_reps=n_reps,
         seed=int(seed),
         delta=deltaf,
@@ -360,27 +373,27 @@ def _shard_ranges(n_reps: int, jobs: int):
 def _estimate_shard(packed):
     network, model, profile, horizon, delta, seed, lo, hi = packed
     n = network.n
-    correct = np.zeros(n, dtype=np.int64)
-    util = np.zeros(n, dtype=np.float64)
+    correct = [0] * n
+    util = [0.0] * n
     truncated = 0
     quiescent = 0
     plan = _RunPlan(network, model, profile)
     for rep in range(lo, hi):
         rng = _replication_rng(seed, rep)
         trace = run_profile(network, model, profile, horizon, rng, _plan=plan)
-        flags, _ = adjudicate(trace)
+        # adjudicate's flags: adopting is correct exactly in the high state
         high = trace.state == STATE_HIGH
         for i, tau in enumerate(trace.times):
-            if flags[i]:
-                correct[i] += 1
-            if not is_never(tau):
+            if tau == NEVER:
+                correct[i] += not high
+            else:
+                correct[i] += high
                 util[i] += (delta ** tau) * (1.0 if high else -1.0)
-        if trace.truncated:
-            truncated += 1
-        if trace.quiescent_at is not None:
-            quiescent += 1
-    return {"correct": correct, "util": util, "truncated": truncated,
-            "quiescent": quiescent}
+        truncated += trace.truncated
+        quiescent += trace.quiescent_at is not None
+    return {"correct": np.array(correct, dtype=np.int64),
+            "util": np.array(util, dtype=np.float64),
+            "truncated": truncated, "quiescent": quiescent}
 
 
 def outsider_posterior(trace: ActionTrace, adopt_probs) -> float:
@@ -540,16 +553,14 @@ def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
         seeds_mask = rng.random(n) < eta_f
         times = sigma_ring_times(seeds_mask, high_bit[atoms], k)
         adopted = np.isfinite(times)
-        if state == STATE_HIGH:
-            correct += adopted
-            adopted_by_state[0] += int(adopted.sum())
-            reps_by_state[0] += 1
-        else:
-            correct += ~adopted
-            adopted_by_state[1] += int(adopted.sum())
-            reps_by_state[1] += 1
+        low = int(state == STATE_LOW)  # adopting is correct when high
+        correct += adopted != low
+        adopted_by_state[low] += int(adopted.sum())
+        reps_by_state[low] += 1
     p_agents = correct / n_reps
     p = float(p_agents[agent])
+    rate_high, rate_low = (adopted / (n * reps) if reps else float("nan")
+                           for adopted, reps in zip(adopted_by_state, reps_by_state))
     return SigmaRingReport(
         n_agents=n,
         k=k,
@@ -561,8 +572,6 @@ def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
         p_hat=p,
         ci=1.96 * math.sqrt(p * (1.0 - p) / n_reps),
         p_hat_agents=tuple(p_agents.tolist()),
-        adopt_rate_high=(adopted_by_state[0] / (n * reps_by_state[0])
-                         if reps_by_state[0] else float("nan")),
-        adopt_rate_low=(adopted_by_state[1] / (n * reps_by_state[1])
-                        if reps_by_state[1] else float("nan")),
+        adopt_rate_high=rate_high,
+        adopt_rate_low=rate_low,
     )

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from .common import as_int, spec_value
+
 
 @dataclass(frozen=True)
 class Network:
@@ -268,20 +270,21 @@ def network_from_spec(spec) -> Network:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"network spec must be a one-key mapping, got {spec!r}")
     kind, body = next(iter(spec.items()))
-    body = body or {}
+    where = f"network.{kind}"
     if kind == "line":
         return build_line(
-            n=int(body["n"]),
-            directed=bool(body.get("directed", False)),
-            ring=bool(body.get("ring", False)),
-            mark_infinite=bool(body.get("mark_infinite", False)),
+            n=spec_value(body, "n", where, as_int),
+            directed=spec_value(body, "directed", where, bool, False),
+            ring=spec_value(body, "ring", where, bool, False),
+            mark_infinite=spec_value(body, "mark_infinite", where, bool, False),
         )
     if kind == "tree":
-        return build_directed_tree(d=int(body["d"]), depth=int(body["depth"]))
+        return build_directed_tree(d=spec_value(body, "d", where, as_int),
+                                   depth=spec_value(body, "depth", where, as_int))
     if kind == "star":
         return build_star(
-            n_leaves=int(body["leaves"]),
-            directed=bool(body.get("directed", True)),
+            n_leaves=spec_value(body, "leaves", where, as_int),
+            directed=spec_value(body, "directed", where, bool, True),
         )
     if kind == "spontaneous_example":
         return build_spontaneous_example()

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .common import NEVER, as_fraction, is_never
+from .common import NEVER, as_fraction, as_int, is_never, spec_value
 
 HALF = Fraction(1, 2)
 
@@ -38,6 +38,14 @@ class Strategy:
 
     def adopt_probability(self, ctx):
         raise NotImplementedError
+
+    def decision_key(self, network, agent, times):
+        """A function key(period, atom) for agent's decisions after an agent
+        it observes has adopted, or None (the default) to be asked at each.
+        times is agent's view.  Equal keys must get equal answers.  Agents
+        that hold one strategy object share its answers, so a key is a
+        tuple that holds the agent when the answer depends on it."""
+        return None
 
 
 def canonical_history(neighbors, times, t) -> tuple:
@@ -266,42 +274,43 @@ class ProtocolSigma(Strategy):
     def max_reaction_lag(self) -> int:
         return self.k + 1
 
-    def _line_sides(self, ctx):
-        """(left neighbor id or None, right neighbor id or None)."""
-        n = ctx.network.n
-        i = ctx.agent
-        neighbors = set(ctx.times.neighbors)
-        ring = (0, n - 1) in ctx.network.edges or (n - 1, 0) in ctx.network.edges
-        left = (i - 1) % n if ring else i - 1
-        right = (i + 1) % n if ring else i + 1
-        if not neighbors <= {left, right}:
+    def _key(self, network, agent, times):
+        """key(t, atom) = (t, atom, earliest adoption before t among the
+        line neighbors agent reacts to, NEVER if none); the answer reads
+        nothing else.  Raises unless agent sits on a labeled line or ring."""
+        n = network.n
+        ring = (0, n - 1) in network.edges or (n - 1, 0) in network.edges
+        left = (agent - 1) % n if ring else agent - 1
+        right = (agent + 1) % n if ring else agent + 1
+        neighbors = times.neighbors
+        if not set(neighbors) <= {left, right}:
             raise ValueError(
-                f"protocol requires a labeled line or ring; agent {i} observes {sorted(neighbors)}"
+                f"protocol requires a labeled line or ring; agent {agent} observes {sorted(neighbors)}"
             )
-        return (left if left in neighbors else None,
-                right if right in neighbors else None)
+        sides = {"both": (left, right), "ltr": (left,), "rtl": (right,)}
+        sides = [j for j in sides[self.orientation] if j in neighbors]
+        if not sides:
+            return lambda t, atom: (t, atom, NEVER)
+        a, b = sides[0], sides[-1]  # the same agent when there is one side
+        def key(t, atom):
+            tau_u = min(times[a], times[b])
+            return (t, atom, tau_u if tau_u < t else NEVER)
+        return key
 
     def adopt_probability(self, ctx):
         if ctx.period == 0:
             return self.eta
-        left, right = self._line_sides(ctx)
-        if self.orientation == "ltr":
-            right = None
-        elif self.orientation == "rtl":
-            left = None
-        candidates = []
-        for priority, j in enumerate((left, right)):
-            if j is None:
-                continue
-            tau = ctx.times[j]
-            if tau < ctx.period:
-                candidates.append((tau, priority))
-        if not candidates:
-            return Fraction(0)
-        tau_u, _ = min(candidates)
+        _, _, tau_u = self._key(ctx.network, ctx.agent, ctx.times)(ctx.period, ctx.atom)
         x = 1 if as_fraction(ctx.belief) >= HALF else 0
         my_tau = sigma_eta_k_step(tau_u, self.k, x, self.mid)
         return Fraction(1) if ctx.period == my_tau else Fraction(0)
+
+    def decision_key(self, network, agent, times):
+        """No agent id: every agent holding this strategy shares answers."""
+        try:
+            return self._key(network, agent, times)
+        except ValueError:  # adopt_probability raises it at the decision
+            return None
 
 
 @dataclass(frozen=True)
@@ -436,30 +445,12 @@ class AuxRootRule(Strategy):
         t = ctx.period
         t1, t2 = ctx.times[c1], ctx.times[c2]
         m = self.cutoff_period  # NEVER encodes r = 1
-        if self.spec.family == 1:
-            if not is_never(t1) and not is_never(m) and t1 > m:
-                fire = t == t1 + 1
-            elif not is_never(t1):  # first child was early (or r = 1)
-                if is_never(m):
-                    fire = False
-                elif not is_never(t2) and t2 <= m:
-                    fire = t == m + 1
-                elif not is_never(t2):
-                    fire = t == t2 + 1
-                else:
-                    fire = False
-            else:
-                fire = False
+        # NEVER is infinite: it compares as late, and t == NEVER + 1 never holds.
+        if self.spec.family == 1:  # the discrete form of family 1's score
+            fire = t == (t1 if t1 > m else max(t2, m)) + 1
         else:
-            at_cutoff = (
-                not is_never(m)
-                and t == m + 1
-                and (is_never(t1) or t1 > m)
-                and not is_never(t2)
-                and t2 <= m
-                and as_fraction(ctx.belief) > HALF
-            )
-            fire = at_cutoff or (not is_never(t1) and t == t1 + 1)
+            fire = t == t1 + 1 or (t == m + 1 and t1 > m and t2 <= m
+                                   and as_fraction(ctx.belief) > HALF)
         return Fraction(1) if fire else Fraction(0)
 
 
@@ -531,26 +522,26 @@ def strategy_from_spec(spec, model, delta=None):
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"strategy spec must be 'myopic' or a one-key mapping, got {spec!r}")
     kind, body = next(iter(spec.items()))
-    body = body or {}
+    where = f"strategy.{kind}"
     if kind == "sigma":
-        mid = body.get("mid")
-        if mid is None:
-            p_high, p_low = model.indicator_probs()
-            mid = (p_high + p_low) / 2
+        p_high, p_low = model.indicator_probs()
+        mid = spec_value(body, "mid", where, as_fraction, (p_high + p_low) / 2)
         return ProtocolSigma(
-            eta=as_fraction(body["eta"]),
-            k=int(body["k"]),
-            mid=as_fraction(mid),
-            orientation=body.get("orientation", "both"),
+            eta=spec_value(body, "eta", where, as_fraction),
+            k=spec_value(body, "k", where, as_int),
+            mid=mid,
+            orientation=spec_value(body, "orientation", where, str, "both"),
         )
     if kind == "aux":
-        if delta is None and "delta" not in body:
+        delta = spec_value(body, "delta", where, as_fraction, delta)
+        if delta is None:
             raise ValueError("aux strategy needs delta")
-        spec = RootStrategySpec(family=int(body["family"]),
-                                r=as_fraction(body["r"]))
-        return AuxRootRule(spec=spec, delta=body.get("delta", delta))
+        spec = RootStrategySpec(family=spec_value(body, "family", where, as_int),
+                                r=spec_value(body, "r", where, as_fraction))
+        return AuxRootRule(spec=spec, delta=delta)
     if kind == "center_bayes":
-        return CenterBayesRule(model=model, period=int(body.get("period", 1)))
+        return CenterBayesRule(model=model,
+                               period=spec_value(body, "period", where, as_int, 1))
     if kind == "threshold_table_text":
         return ThresholdRule.from_text(body)
     raise ValueError(f"unknown strategy spec kind {kind!r}")

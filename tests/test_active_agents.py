@@ -1,14 +1,18 @@
-"""The engine asks only agents that can still act, each quiet answer once;
-nothing else changes.
+"""The engine asks only agents that can still act, each distinct decision
+once; nothing else changes.
 
 run_profile skips agents past their declared spontaneous_until and
 max_reaction_lag, and CenterBayesRule answers from an exact table.  The
 reference loop below asks every remaining agent in every period and stops
 only when none of them can act.  Runs that share one _RunPlan (estimate's
-replications) also reuse the answers an agent gave while none of its
-observed agents had adopted; the second reference below is the loop that
-asked every active agent afresh in every run.  All must give the same
-trace, and consume the same random draws, for every replication.
+replications) file each answer in a memo and reuse it: while none of an
+agent's observed agents has adopted, under (agent, period, atom); after
+that, under the key the strategy's decision_key gives, shared by all
+agents that hold one strategy object (ProtocolSigma gives one; the other
+rules are asked at every such decision).  The second reference below is
+the loop that asked every active agent afresh in every run.  All must
+give the same trace, and consume the same random draws, for every
+replication.
 """
 
 import math
@@ -178,7 +182,7 @@ def profiles(draw):
         elif kind == "sigma":
             strategies.append(ProtocolSigma(
                 eta=draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2)))),
-                k=3, orientation=draw(st.sampled_from(("both", "ltr", "rtl")))))
+                k=draw(st.sampled_from((3, 4))), orientation=draw(st.sampled_from(("both", "ltr", "rtl")))))
         else:
             m = draw(st.integers(0, 4))
             r = Fraction(1) if m == 4 else 1 - DELTA ** m
@@ -203,11 +207,14 @@ def test_run_profile_matches_the_ask_everyone_reference(case, horizon, seed):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# Horizons reach k * k + 4 for k = 4, so the relay protocol's decode stage
+# (period k * k) and its spread stage are reached too.
 @settings(max_examples=150, deadline=None)
-@given(profiles(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+@given(profiles(), st.integers(0, 20), st.integers(0, 2**32 - 1))
 def test_runs_sharing_one_plan_match_asking_every_run(case, horizon, seed):
     network, model, strategies = case
     plan = _RunPlan(network, model, strategies)
+    periods = horizon + 1
     for rep in range(8):
         rng = _replication_rng(seed, rep)
         ref_rng = _replication_rng(seed, rep)
@@ -216,7 +223,43 @@ def test_runs_sharing_one_plan_match_asking_every_run(case, horizon, seed):
         expected = ask_active_run(network, model, strategies, horizon, ref_rng)
         assert trace == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert len(plan.quiet) <= network.n * (horizon + 1) * model.n_atoms
+    # At most one quiet answer per (agent, period, atom); after a cue, only
+    # ProtocolSigma files answers: per (period, atom, earliest side
+    # adoption or NEVER), in one dict per strategy object.
+    assert len(plan.quiet) <= network.n * periods * model.n_atoms
+    owners = {id(s): s for s in strategies}
+    for owner, memo in plan.by_strategy.items():
+        assert isinstance(owners[owner], ProtocolSigma)
+        assert len(memo) <= periods * model.n_atoms * periods
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_relay_protocol_off_a_line_fails_at_the_same_decision():
+    # On an undirected star, leaves other than 1 observe the hub, which is
+    # not a line neighbor: the first such leaf asked after the hub adopts
+    # raises, with or without a shared plan, after the same draws.
+    network = build_star(4, directed=False)
+    strategies = [ProtocolSigma(eta=Fraction(1, 2), k=3)] * network.n
+    plan = _RunPlan(network, BINARY, strategies)
+    failures = 0
+    for rep in range(12):
+        rng, ref_rng = _replication_rng(5, rep), _replication_rng(5, rep)
+        got = _outcome(run_profile, network, BINARY, strategies, 6, rng,
+                       _plan=plan)
+        expected = _outcome(ask_active_run, network, BINARY, strategies, 6,
+                            ref_rng)
+        assert got == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if isinstance(got, str):
+            assert "labeled line or ring" in got
+            failures += 1
+    assert 0 < failures < 12
 
 
 def _product_table(model, atom, max_observed):

@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -134,3 +135,54 @@ def test_random_configs_keep_the_cli_contract(raw, verify):
         if (out / "results.csv").exists():
             assert (out / "results.csv").read_text().startswith(
                 "run_id,agent,p_hat,ci,utility,truncated_fraction\n")
+
+
+BASE = {"kind": "simulate", "seed": 3, "network": {"line": {"n": 4}},
+        "signal": {"binary": 0.75}, "strategy": "myopic", "delta": 0.9,
+        "horizon": 3, "replications": 5}
+
+
+def _exit_and_error(tmp_path, **fields):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, **fields}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "--jobs", "1"])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"network": {"star": {}}}, "network.star.leaves"),
+    ({"network": {"tree": {"d": 2}}}, "network.tree.depth"),
+    ({"network": {"line": {"n": "x"}}}, "network.line.n"),
+    ({"network": {"line": {"n": 4.5}}}, "network.line.n"),
+    ({"network": {"line": 4}}, "network.line"),
+    ({"strategy": {"sigma": {"eta": 0.1}}}, "strategy.sigma.k"),
+    ({"strategy": {"sigma": {"eta": 0.1, "k": 3.7}}}, "strategy.sigma.k"),
+    ({"strategy": {"sigma": {"eta": "x", "k": 3}}}, "strategy.sigma.eta"),
+    ({"strategy": {"center_bayes": {"period": 1.5}}},
+     "strategy.center_bayes.period"),
+    ({"strategy": {"aux": {"family": 1}}}, "strategy.aux.r"),
+    ({"horizon": 2.5}, "horizon"),
+    ({"kind": "solve", "params": {"max_sweeps": 1.5}}, "params.max_sweeps"),
+])
+def test_bad_config_fields_are_named(tmp_path, fields, named):
+    code, err = _exit_and_error(tmp_path, **fields)
+    assert code == 2
+    assert err.startswith("error: ") and named in err, err
+
+
+def test_integral_floats_still_read_as_integers(tmp_path):
+    code, err = _exit_and_error(
+        tmp_path, network={"line": {"n": 4.0, "ring": True}},
+        strategy={"sigma": {"eta": 0.25, "k": 3.0}})
+    assert code == 0, err
+
+
+def test_relay_protocol_on_a_star_names_the_network_it_needs(tmp_path):
+    code, err = _exit_and_error(
+        tmp_path, network={"star": {"leaves": 4, "directed": False}},
+        strategy={"sigma": {"eta": 0.5, "k": 3}})
+    assert code == 2
+    assert "labeled line or ring" in err, err

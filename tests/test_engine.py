@@ -7,6 +7,7 @@ import pytest
 from netadopt.common import NEVER, STATE_HIGH, STATE_LOW, StrategyViolationError, is_never
 from netadopt.engine import (
     ActionTrace,
+    _RunPlan,
     adjudicate,
     estimate,
     outsider_posterior,
@@ -286,6 +287,9 @@ def test_sigma_ring_matches_engine():
     proto = ProtocolSigma(eta=Fraction(1, 4), k=k)
     horizon = k * k + n + k + 3
     high_bit = np.array([1 if b >= Fraction(1, 2) else 0 for b in model.beliefs])
+    # One plan for every replication, as estimate runs them: the answers
+    # filed in one replication are reused in the next.
+    plan = _RunPlan(ring, model, proto)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
         state = STATE_HIGH if rng.integers(0, 2) == 0 else STATE_LOW
@@ -294,11 +298,15 @@ def test_sigma_ring_matches_engine():
         closed = sigma_ring_times(seeds_mask, high_bit[atoms], k)
 
         rng2 = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        trace = run_profile(ring, model, proto, horizon, rng2)
+        trace = run_profile(ring, model, proto, horizon, rng2, _plan=plan)
         assert trace.state == state
         engine_times = np.array(
             [math.inf if is_never(t) else float(t) for t in trace.times])
         assert np.array_equal(engine_times, closed), f"rep {rep} diverged"
+    # every agent holds proto, so all share one memo, and it holds answers
+    # from the decode stage (period k * k) and the spread stage after it
+    (memo,) = plan.by_strategy.values()
+    assert {k * k, k * k + 1} <= {key[0] for key in memo}
 
 
 def test_sigma_ring_estimate_deterministic():
