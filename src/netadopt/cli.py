@@ -45,7 +45,7 @@ from .auxmodel import (
 )
 from .bounds import bound_report
 from .common import (STATE_HIGH, STATE_LOW, RegimeError, as_fraction, as_int,
-                     is_never)
+                     is_never, spec_value)
 from .engine import (_replication_rng, estimate, outsider_posterior, run_profile,
                      sigma_ring_estimate, sigma_ring_times)
 from .networks import build_line, network_from_spec
@@ -110,6 +110,7 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             raise ConfigError("params must be a JSON object")
         jobs = _int_field(raw, "jobs")
+        spec_value(raw, "delta", "", as_fraction, None)  # checked, kept as is
         return cls(
             kind=kind,
             seed=_int_field(raw, "seed", minimum=0),

@@ -76,8 +76,10 @@ def spec_value(body, name: str, where: str, convert, default=_REQUIRED):
 
     A null body has no fields, and a null field gives default.  A missing
     required field, a body that is not a mapping, and a value convert
-    rejects are each a ValueError that names the field as where.name.
+    rejects are each a ValueError that names the field as where.name, or
+    as name when where is empty (a top-level field).
     """
+    label = f"{where}.{name}" if where else name
     if body is None:
         body = {}
     if not isinstance(body, dict):
@@ -85,9 +87,9 @@ def spec_value(body, name: str, where: str, convert, default=_REQUIRED):
     value = body.get(name)
     if value is None:
         if default is _REQUIRED:
-            raise ValueError(f"{where}.{name} is required")
+            raise ValueError(f"{label} is required")
         return default
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}.{name}: {exc}") from None
+        raise ValueError(f"{label}: {exc}") from None

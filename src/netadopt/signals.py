@@ -9,14 +9,12 @@ cached for sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .common import STATE_HIGH, STATE_LOW, as_fraction
+from .common import STATE_HIGH, STATE_LOW, as_fraction, as_int, spec_value
 
 _SUM_TOL = Fraction(1, 10**12)
 
@@ -72,14 +70,6 @@ class SignalModel:
     def beliefs(self) -> tuple[Fraction, ...]:
         """Posterior P(H | atom) under a uniform prior, one per atom."""
         return tuple(lh / (lh + ll) for lh, ll in self.atoms)
-
-    @property
-    def belief_lo(self) -> Fraction:
-        return min(self.beliefs)
-
-    @property
-    def belief_hi(self) -> Fraction:
-        return max(self.beliefs)
 
     def likelihoods(self, state: str) -> tuple[Fraction, ...]:
         if state == STATE_HIGH:
@@ -153,45 +143,6 @@ def sample_atoms(model: SignalModel, state: str, size: int, rng: np.random.Gener
     return rng.choice(model.n_atoms, size=size, p=model._float_probs(state))
 
 
-def combine_beliefs(beliefs: Iterable) -> float:
-    """Pool independent-signal beliefs by adding log-odds.
-
-    Exact when every input is a Fraction (returns a Fraction); otherwise
-    computed in log space and returned as a float.
-    """
-    vals = list(beliefs)
-    if not vals:
-        raise ValueError("need at least one belief to combine")
-    for b in vals:
-        bf = float(b)
-        if bf <= 0.0 or bf >= 1.0:
-            raise ValueError(f"degenerate belief {b!r}: log-odds undefined")
-    if all(isinstance(b, Fraction) for b in vals):
-        odds = Fraction(1)
-        for b in vals:
-            odds *= b / (1 - b)
-        return odds / (1 + odds)
-    odds = 1.0
-    for b in vals:
-        odds *= float(b) / (1.0 - float(b))
-    if 0.0 < odds < math.inf:
-        return odds / (1.0 + odds)
-    # Long belief lists can overflow the plain product; redo in log space.
-    s = math.fsum(math.log(float(b)) - math.log1p(-float(b)) for b in vals)
-    if s > 700.0:
-        return 1.0 - math.exp(-s)
-    if s < -700.0:
-        return math.exp(s)
-    return 1.0 / (1.0 + math.exp(-s))
-
-
-def log_likelihood_ratio(model: SignalModel, belief) -> float:
-    """Log-odds ln(b / (1-b)) of a belief that must be an atom of the model."""
-    idx = model.atom_for_belief(belief)
-    lh, ll = model.atoms[idx]
-    return math.log(float(lh)) - math.log(float(ll))
-
-
 def signal_model_from_spec(spec) -> SignalModel:
     """Build a model from a config fragment.
 
@@ -202,7 +153,7 @@ def signal_model_from_spec(spec) -> SignalModel:
         raise ValueError(f"signal spec must be a one-key mapping, got {spec!r}")
     kind, body = next(iter(spec.items()))
     if kind == "binary":
-        return binary_model(body)
+        return binary_model(spec_value(spec, "binary", "signal", as_fraction))
     if kind == "atoms":
         if not isinstance(body, (list, tuple)) or not all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in body):
@@ -210,10 +161,8 @@ def signal_model_from_spec(spec) -> SignalModel:
                              f"likelihood_L] pairs, got {body!r}")
         return SignalModel(atoms=tuple((as_fraction(a), as_fraction(b)) for a, b in body))
     if kind == "grid":
-        body = body or {}
-        return grid_model(
-            n_atoms=int(body.get("n", 101)),
-            lo=as_fraction(body.get("lo", Fraction(1, 5))),
-            hi=as_fraction(body.get("hi", Fraction(4, 5))),
-        )
+        where = "signal.grid"
+        return grid_model(spec_value(body, "n", where, as_int, 101),
+                          spec_value(body, "lo", where, as_fraction, Fraction(1, 5)),
+                          spec_value(body, "hi", where, as_fraction, Fraction(4, 5)))
     raise ValueError(f"unknown signal spec kind {kind!r}")

@@ -1,8 +1,11 @@
 """Exact equilibrium analysis for small instances.
 
-Everything here runs on exact rationals: scenario weights, posteriors, and
-backward-induction values are Fractions, so convergence and indifference are
-decided by equality, never by float tolerance.  The key device is the
+Everything here is exact, so convergence and indifference are decided by
+equality, never by float tolerance.  One forward pass builds each tree: run
+weights are integer numerators over one denominator per build (Fractions
+once a mixing answer enters), a build asks each strategy once per decision,
+and each key's weight becomes a Fraction once.  Posteriors and
+backward-induction values are Fractions.  The key device is the
 never-adopt counterfactual: before an agent adopts, the history it observes
 is the one it would observe if it never adopted.  So every per-agent query
 reads one tree, the exact weight under each state of every history the
@@ -92,92 +95,126 @@ class Scenario:
     times: tuple
 
 
-def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
-                        frozen: int | None = None,
-                        max_scenarios: int = 200_000) -> list:
-    """All positive-probability runs of the profile, with exact weights.
+def _ask(strategy, network, beliefs, agent, t, times, mask) -> list:
+    """The strategy's exact adoption probability at period t, given the
+    adoption periods times, for each atom in mask (None for the others)."""
+    view = NeighborTimes(network.out_neighbors(agent), times)
+    return [as_fraction(strategy.adopt_probability(DecisionContext(
+                agent=agent, period=t, atom=a, belief=belief, times=view,
+                network=network))) if mask >> a & 1 else None
+            for a, belief in enumerate(beliefs)]
 
-    Runs are expanded forward one period at a time.  A live state is the
-    time vector plus the signal atoms each undecided agent may still hold;
-    an asked agent splits them by its answer, a mixing atom both ways with
-    its mixing probability (a factor of both state weights, since mixing
-    draws are state-independent).  Equal states add their weights, and runs
-    are merged by time vector: each Scenario is one distinct time vector,
-    and the weights sum to one per state.
 
-    frozen marks one agent forced to never adopt (its signal is left out).
-    An agent d observation steps from it is asked only through period
-    horizon - d, so only the frozen agent's observations before period
-    horizon are exact.  max_scenarios bounds the live states in any period;
-    more raise ScenarioBudgetError.
+def _expand(network, model, profile, horizon, frozen, max_scenarios):
+    """Expand every run of the profile forward, one period at a time.
+
+    A live state is the time vector plus, for each undecided agent, the
+    bitmask of atoms still consistent with its decisions; equal states add
+    their weights.  An asked agent splits its atoms by its answer, a mixing
+    atom both ways (mixing draws are state-independent).  Splits are kept
+    per (agent, period, observed times, mask), and the masks one agent holds
+    at one observed history are disjoint, so each answer is asked once.
+    Weights are numerators over den, the mass of all atoms to the power of
+    the light cone's size, with likelihoods scaled to integers: an agent's
+    factors p * mass(sub) / mass(mask) telescope, so a numerator holds the
+    mixing factors and the masses of the agents that adopted or expired,
+    and open masks are multiplied in when a weight is read.  Returns
+    (finished, tree, den): the numerators of each run by time vector and,
+    when an agent is frozen, of each history key (t, pairs), t <= horizon.
     """
     strategies = _normalize_profile(network, profile)
-    dist = (dict.fromkeys(network.agents, 0) if frozen is None
+    agents, beliefs = network.agents, model.beliefs
+    dist = (dict.fromkeys(agents, 0) if frozen is None
             else _reachable_within(network, frozen, horizon))
     last = [horizon - dist[i] if i in dist and i != frozen else -1
-            for i in network.agents]
+            for i in agents]
     spont = [s.spontaneous_until for s in strategies]
     lag = [s.max_reaction_lag for s in strategies]
-    beliefs = model.beliefs
+    scale = [math.lcm(*(lik[k].denominator for lik in model.atoms)) for k in (0, 1)]
+    scaled = [(int(lh * scale[0]), int(ll * scale[1])) for lh, ll in model.atoms]
 
     @functools.cache
     def mass(mask):
-        return tuple(sum((lik[k] for a, lik in enumerate(model.atoms)
-                          if mask >> a & 1), ZERO) for k in (0, 1))
+        return tuple(sum(lik[k] for a, lik in enumerate(scaled) if mask >> a & 1)
+                     for k in (0, 1))
 
-    def factor(sub, mask, p):
-        """(high, low) weight factors p * P(atom in sub | atom in mask)."""
-        if sub == mask:
-            return p, p
-        (sub_high, sub_low), (all_high, all_low) = mass(sub), mass(mask)
-        return p * sub_high / all_high, p * sub_low / all_low
+    # Lists, not tuples: CPython keeps up to 2000 freed tuples of each size
+    # for reuse, and a build's worth of these would stay allocated after it.
+    @functools.cache
+    def open_mass(masks):
+        return [math.prod(mass(m)[k] for m in masks if m) for k in (0, 1)]
+
+    def add(table, key, w):
+        total = table.setdefault(key, [0, 0])
+        total[0] += w[0]
+        total[1] += w[1]
 
     def check_budget(live, t):
         if live > max_scenarios:
             raise ScenarioBudgetError(f"{live} live states at period {t} exceed "
                                       f"the {max_scenarios} scenario budget")
 
-    masks = tuple((1 << model.n_atoms) - 1 if d >= 0 else 0 for d in last)
-    states = {((NEVER,) * network.n, masks): [ONE, ONE, [-math.inf] * network.n]}
-    finished = {}
+    def split(i, t, times, mask):
+        """{(i, adopt, mask kept): (high, low) factor} of i's answers."""
+        sure = {True: 0, False: 0}
+        splits = []
+        for a, p in enumerate(_ask(strategies[i], network, beliefs, i, t,
+                                   times, mask)):
+            if p == 1 or p == 0:
+                sure[p == 1] |= 1 << a
+            elif p is not None:
+                splits += [(True, 1 << a, p), (False, 1 << a, 1 - p)]
+        # An adoption or an expiring stay closes the mask with the masses of
+        # its atoms (one state); a stay that keeps it open narrows it by p.
+        outcomes = {}
+        for adopt, sub, p in splits + [(a, sub, 1) for a, sub in sure.items() if sub]:
+            closes = adopt or last[i] == t
+            pick = (i, adopt, 0 if closes else sub)
+            f = (p * mass(sub)[0], p * mass(sub)[1]) if closes else (p, p)
+            g = outcomes.get(pick, (0, 0))
+            outcomes[pick] = (f[0] + g[0], f[1] + g[1])
+        return outcomes
+
+    full = (1 << model.n_atoms) - 1
+    masks = tuple(full if d >= 0 else 0 for d in last)
+    den = tuple(v ** sum(map(bool, masks)) for v in mass(full))
+    watched = None if frozen is None else network.out_neighbors(frozen)
+    memo = {}
+    finished, tree = {}, {}
+    states = {((NEVER,) * network.n, masks): [1, 1, [-math.inf] * network.n]}
     t = 0
     while states:
         following = {}
-        for (times, masks), (w_high, w_low, last_cue) in states.items():
-            active = _active_agents([i for i in network.agents if masks[i]],
-                                    t, spont, lag, last_cue)
-            if not active:
-                total = finished.setdefault(times, [ZERO, ZERO])
-                total[0] += w_high
-                total[1] += w_low
-                continue
-            branches = [(w_high, w_low, ())]
+        expiring = [i for i in agents if last[i] == t]
+        for (times, masks), (num_high, num_low, last_cue) in states.items():
+            active = _active_agents([i for i in agents if masks[i]], t, spont,
+                                    lag, last_cue)
+            if not active or watched is not None:
+                open_high, open_low = open_mass(masks)
+                w = (num_high * open_high, num_low * open_low)
+                if watched is not None:  # a finished run: every later key too
+                    pairs = tuple([(j, times[j]) for j in watched if times[j] < t])
+                    for u in range(t, t + 1 if active else horizon + 1):
+                        add(tree, (u, pairs), w)
+                if not active:
+                    add(finished, times, w)
+                    continue
+            for i in expiring:  # an expiring agent not asked closes its mask
+                if masks[i] and i not in active:
+                    num_high *= mass(masks[i])[0]
+                    num_low *= mass(masks[i])[1]
+            branches = [(1, 1, ())]
             fixed = []  # agents that give one answer for all their atoms
             for i in active:
-                view = NeighborTimes(network.out_neighbors(i), times)
-                sure = {True: 0, False: 0}
-                splits = []
-                for a in range(model.n_atoms):
-                    if masks[i] >> a & 1:
-                        ctx = DecisionContext(
-                            agent=i, period=t, atom=a, belief=beliefs[a],
-                            times=view, network=network)
-                        p = as_fraction(strategies[i].adopt_probability(ctx))
-                        if p == 1 or p == 0:
-                            sure[p == 1] |= 1 << a
-                        else:
-                            splits += [(True, 1 << a, p), (False, 1 << a, 1 - p)]
-                splits += [(adopt, sub, ONE) for adopt, sub in sure.items() if sub]
-                # Splits that leave the same state behind (every adoption,
-                # every stay of an expiring agent) are merged here, so the
-                # branches of one state all lead to distinct states.
-                outcomes = {}
-                for adopt, sub, p in splits:
-                    pick = (i, adopt, 0 if adopt or last[i] == t else sub)
-                    f, g = factor(sub, masks[i], p), outcomes.get(pick)
-                    outcomes[pick] = f if g is None else (f[0] + g[0], f[1] + g[1])
-                if len(outcomes) == 1:  # a sole outcome has weight factor 1
-                    fixed += outcomes
+                obs = tuple([times[j] for j in network.out_neighbors(i)])
+                outcomes = memo.get((i, t, obs, masks[i]))
+                if outcomes is None:
+                    outcomes = memo[i, t, obs, masks[i]] = split(
+                        i, t, times, masks[i])
+                if len(outcomes) == 1:
+                    ((pick, (f_high, f_low)),) = outcomes.items()
+                    fixed.append(pick)
+                    num_high, num_low = num_high * f_high, num_low * f_low
                     continue
                 branches = [(b_high * f_high, b_low * f_low, picks + (pick,))
                             for b_high, b_low, picks in branches
@@ -188,40 +225,53 @@ def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
                 new_masks = [0 if last[i] == t else m for i, m in enumerate(masks)]
                 for i, _, kept in picks:
                     new_masks[i] = kept
-                new_times, new_cue = list(times), list(last_cue)
-                _record_adoptions(network, new_times, new_cue,
-                                  [i for i, adopt, _ in picks if adopt], t)
-                key = (tuple(new_times), tuple(new_masks))
+                new_times, new_cue = times, last_cue
+                if any(adopt for _, adopt, _ in picks):
+                    new_times, new_cue = list(times), list(last_cue)
+                    _record_adoptions(network, new_times, new_cue,
+                                      [i for i, adopt, _ in picks if adopt], t)
+                    new_times = tuple(new_times)
+                key = (new_times, tuple(new_masks))
                 if key in following:
-                    following[key][0] += b_high
-                    following[key][1] += b_low
+                    following[key][0] += num_high * b_high
+                    following[key][1] += num_low * b_low
                 else:
-                    following[key] = [b_high, b_low, new_cue]
+                    following[key] = [num_high * b_high, num_low * b_low, new_cue]
                     check_budget(len(following), t + 1)
         states = following
         t += 1
-    return [Scenario(weight_high=w_high, weight_low=w_low, times=times)
+    return finished, tree, den
+
+
+def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
+                        frozen: int | None = None,
+                        max_scenarios: int = 200_000) -> list:
+    """All positive-probability runs of the profile (see _expand), one
+    Scenario per time vector, with exact weights that sum to one per state.
+
+    frozen marks one agent forced to never adopt (its signal is left out).
+    An agent d observation steps from it is asked only through period
+    horizon - d, so only the frozen agent's observations before period
+    horizon are exact.  More than max_scenarios live states in any period
+    raise ScenarioBudgetError.
+    """
+    finished, _, (den_high, den_low) = _expand(
+        network, model, profile, horizon, frozen, max_scenarios)
+    return [Scenario(Fraction(w_high, den_high), Fraction(w_low, den_low), times)
             for times, (w_high, w_low) in finished.items()]
 
 
 def _history_tree(network, model, profile, agent, horizon, max_scenarios):
-    """Exact weights of the histories agent observes while it never adopts.
-
-    Maps each history key (t, pairs), t <= horizon, of a run of
-    enumerate_scenarios(..., frozen=agent) to the summed (weight_high,
-    weight_low) of its runs; the parent (t - 1, pairs before t - 1) of a
-    key is a key too.  Also returns the number of runs read.
+    """Exact weights of the histories agent observes while it never adopts:
+    each history key (t, pairs), t <= horizon, of the runs expanded with
+    agent frozen maps to their summed (weight_high, weight_low), and the
+    parent (t - 1, pairs before t - 1) of a key is a key too.  Also returns
+    the number of runs, one per time vector.
     """
-    scenarios = enumerate_scenarios(network, model, profile, horizon,
-                                    frozen=agent, max_scenarios=max_scenarios)
-    neighbors = network.out_neighbors(agent)
-    tree = {}
-    for s in scenarios:
-        for t in range(horizon + 1):
-            key = canonical_history(neighbors, s.times, t)
-            w_high, w_low = tree.get(key, (ZERO, ZERO))
-            tree[key] = (w_high + s.weight_high, w_low + s.weight_low)
-    return tree, len(scenarios)
+    finished, tree, (den_high, den_low) = _expand(
+        network, model, profile, horizon, agent, max_scenarios)
+    return {key: (Fraction(w_high, den_high), Fraction(w_low, den_low))
+            for key, (w_high, w_low) in tree.items()}, len(finished)
 
 
 def _parent(key) -> tuple:
@@ -241,11 +291,8 @@ def _probs_at(strategy, network, model, agent, key) -> list:
     times = [NEVER] * network.n
     for j, tau in pairs:
         times[j] = tau
-    view = NeighborTimes(network.out_neighbors(agent), times)
-    return [as_fraction(strategy.adopt_probability(DecisionContext(
-                agent=agent, period=t, atom=a, belief=belief, times=view,
-                network=network)))
-            for a, belief in enumerate(model.beliefs)]
+    return _ask(strategy, network, model.beliefs, agent, t, times,
+                (1 << model.n_atoms) - 1)
 
 
 def exact_posterior(network, model: SignalModel, profile, agent: int,

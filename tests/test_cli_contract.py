@@ -166,6 +166,11 @@ def _exit_and_error(tmp_path, **fields):
     ({"strategy": {"aux": {"family": 1}}}, "strategy.aux.r"),
     ({"horizon": 2.5}, "horizon"),
     ({"kind": "solve", "params": {"max_sweeps": 1.5}}, "params.max_sweeps"),
+    ({"delta": "x"}, "error: delta: "),
+    ({"signal": {"binary": "x"}}, "signal.binary: "),
+    ({"signal": {"grid": {"n": 3.7}}}, "signal.grid.n: "),
+    ({"signal": {"grid": {"n": "x"}}}, "signal.grid.n: "),
+    ({"signal": {"grid": {"lo": "q"}}}, "signal.grid.lo: "),
 ])
 def test_bad_config_fields_are_named(tmp_path, fields, named):
     code, err = _exit_and_error(tmp_path, **fields)

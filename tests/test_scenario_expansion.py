@@ -25,6 +25,7 @@ from netadopt.signals import binary_model, grid_model
 from netadopt.solver import SolveConfig, best_response, enumerate_scenarios
 from netadopt.strategies import (ThresholdRule, canonical_history,
                                  follow_tree_neighbors, myopic_rule)
+from solver_oracle import history_tree_oracle
 
 BINARY = binary_model(Fraction(3, 4))
 GRID = grid_model(3)
@@ -202,7 +203,11 @@ def test_best_response_tables_match_the_replay(network, model, profile,
                 for times, (h, l) in merged(replay_scenarios(
                     network, model, profile, horizon, frozen)).items()]
 
-    monkeypatch.setattr(solver, "enumerate_scenarios", replay)
+    def replay_tree(network, model, profile, agent, horizon, max_scenarios):
+        return history_tree_oracle(network, model, profile, agent, horizon,
+                                   max_scenarios, enumerate=replay)
+
+    monkeypatch.setattr(solver, "_history_tree", replay_tree)
     old = [best_response(network, model, profile, i, cfg).entries
            for i in network.agents]
     assert new == old

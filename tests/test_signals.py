@@ -7,9 +7,7 @@ from netadopt.common import STATE_HIGH, STATE_LOW
 from netadopt.signals import (
     SignalModel,
     binary_model,
-    combine_beliefs,
     grid_model,
-    log_likelihood_ratio,
     sample_atoms,
     signal_model_from_spec,
 )
@@ -41,8 +39,8 @@ def test_grid_model_belief_consistency():
     m = grid_model(n_atoms=5, lo=Fraction(1, 10), hi=Fraction(9, 10))
     for b, (lh, ll) in zip(m.beliefs, m.atoms):
         assert b == lh / (lh + ll)
-    assert m.belief_lo == Fraction(1, 10)
-    assert m.belief_hi == Fraction(9, 10)
+    assert min(m.beliefs) == Fraction(1, 10)
+    assert max(m.beliefs) == Fraction(9, 10)
 
 
 def test_model_rejects_degenerate_atoms():
@@ -84,31 +82,6 @@ def test_sample_atoms_matches_likelihood():
     freq_high_atom = float(np.mean(atoms == 0))
     # under L the high atom appears with probability 1-q = 0.1
     assert abs(freq_high_atom - 0.1) < 0.01
-
-
-def test_combine_beliefs_exact_and_float():
-    q = Fraction(3, 4)
-    pooled = combine_beliefs([q, q])
-    assert pooled == Fraction(9, 10)
-    approx = combine_beliefs([0.75, 0.75])
-    assert abs(approx - 0.9) < 1e-12
-    # a high and a low signal of equal strength cancel
-    assert combine_beliefs([q, 1 - q]) == Fraction(1, 2)
-    with pytest.raises(ValueError, match="degenerate"):
-        combine_beliefs([Fraction(1)])
-
-
-def test_combine_beliefs_long_list_no_overflow():
-    pooled = combine_beliefs([0.9] * 400)
-    assert 0.0 < pooled <= 1.0
-    pooled_low = combine_beliefs([0.1] * 400)
-    assert 0.0 <= pooled_low < 1e-300 or pooled_low == 0.0
-
-
-def test_log_likelihood_ratio():
-    m = binary_model(Fraction(3, 4))
-    assert abs(log_likelihood_ratio(m, Fraction(3, 4)) - np.log(3)) < 1e-12
-    assert abs(log_likelihood_ratio(m, Fraction(1, 4)) + np.log(3)) < 1e-12
 
 
 def test_signal_model_from_spec():
