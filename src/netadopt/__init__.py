@@ -98,7 +98,6 @@ from .strategies import (
     ProtocolSigma,
     Strategy,
     ThresholdRule,
-    aux_family_action,
     follow_tree_neighbors,
     myopic_rule,
     strategy_from_spec,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .common import as_fraction, is_never
 from .signals import SignalModel
-from .strategies import HALF, RootStrategySpec
+from .strategies import RootStrategySpec
 
 _SUM_TOL = 1e-12
 
@@ -34,7 +34,8 @@ class Mu:
     adopt when the state is low.
 
     Exact inputs (ints, Fractions) are kept exact; floats stay floats, with
-    sums checked to 1e-12.
+    sums checked to 1e-12.  Numpy scalars are stored as the Python numbers
+    they equal, so a law's arithmetic never depends on where it came from.
     """
 
     grid: tuple
@@ -42,9 +43,9 @@ class Mu:
     mass_low: tuple
 
     def __post_init__(self):
-        grid = tuple(self.grid)
-        high = tuple(self.mass_high)
-        low = tuple(self.mass_low)
+        grid, high, low = (tuple(x.item() if isinstance(x, np.generic) else x
+                                 for x in values)
+                           for values in (self.grid, self.mass_high, self.mass_low))
         if not grid:
             raise ValueError("grid needs at least one point")
         if len(high) != len(grid) or len(low) != len(grid):
@@ -122,14 +123,12 @@ def eta_of_mu(mu: Mu):
 
 
 def _signal_split(model: SignalModel):
-    """Likelihood of a strictly-high private belief, under each state."""
-    p_high = Fraction(0)
-    p_low = Fraction(0)
-    for (lh, ll), belief in zip(model.atoms, model.beliefs):
-        if belief > HALF:
-            p_high += lh
-            p_low += ll
-    return p_high, p_low
+    """Likelihood of a strictly-high private belief, under each state.
+
+    An atom's belief lh / (lh + ll) exceeds 1/2 exactly when lh > ll.
+    """
+    high = [(lh, ll) for lh, ll in model.atoms if lh > ll]
+    return sum((lh for lh, _ in high), Fraction(0)), sum((ll for _, ll in high), Fraction(0))
 
 
 def _snap_r(mu: Mu, r):
@@ -165,68 +164,62 @@ def w_mu(mu: Mu, model: SignalModel, a: RootStrategySpec):
     consistency tests check.
     """
     k = mu.grid.index(_snap_r(mu, a.r))
-    return _w_on_grid(a.family, k, _grid_tables(mu, model))
+    return _values_on_grid(mu, model, [k])[a.family - 1][0]
 
 
-def _pair_products(masses):
-    """(i, j, masses[i] * masses[j]) over the nonzero masses, row-major."""
-    nonzero = [(i, m) for i, m in enumerate(masses) if m]
-    return [(i, j, mi * mj) for i, mi in nonzero for j, mj in nonzero]
+# Most elements a (switch time x pair) temporary holds: switch times are
+# taken in blocks of this many elements, or one row at a time.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _grid_tables(mu: Mu, model: SignalModel):
-    """What _w_on_grid reads of one child law and signal model.
+def _values_on_grid(mu: Mu, model: SignalModel, ks) -> tuple:
+    """w_mu of family 1 and of family 2 at each switch time mu.grid[k].
 
-    Holds 1 - t per grid point; the pair products of the high and the low
-    masses; per state, the mean of 1 - t1 over the pairs, which is what
-    family 2 earns on a low own signal whatever r is; and (p_high,
-    1 - p_high, p_low, 1 - p_low) from _signal_split.  None of it depends
-    on the family or the switch time, so psi builds it once.
+    Each state's value sums p * (1 - act) over the pairs (i, j) of
+    nonzero-mass grid points, p the pair's mass product and act the root's
+    adoption time.  The grid ascends, so t > r is i > k, and one (switch
+    time x pair) table of act's grid index per state and family gives
+    every switch time at once.  cumsum adds each row left to right in the
+    row-major pair order of a double loop over the grid, so float values
+    are bit-identical to that loop; a law with any non-float entry uses
+    object arrays, which keep Python's arithmetic and stay exact.  O(G * P)
+    work for G switch times and P pairs, in blocks of bounded memory.
     """
+    entries = (mu.grid, mu.mass_high, mu.mass_low)
+    is_float = all(isinstance(x, float) for values in entries for x in values)
+    dtype = float if is_float else object
     p_high, p_low = _signal_split(model)
-    one_minus = [1 - t for t in mu.grid]
-    pairs = (_pair_products(mu.mass_high), _pair_products(mu.mass_low))
-    copies = []
-    for pair_list in pairs:
-        total = 0
-        for i, _, p in pair_list:
-            total += p * one_minus[i]
-        copies.append(total)
-    return one_minus, pairs, copies, (p_high, 1 - p_high, p_low, 1 - p_low)
-
-
-def _w_on_grid(family: int, k: int, tables):
-    """w_mu for the switch time r = mu.grid[k]; tables is _grid_tables.
-
-    Each state's value sums p * (1 - act) over the pairs of both
-    children's grid points, where p is the pair's mass product and act is
-    the root's adoption time.  The grid ascends, so t > r is i > k, and
-    act is always a grid point.  Float sums add one term at a time in
-    row-major pair order, which keeps every value bit-identical to a
-    double loop over the grid.  A call costs O(P) for P pairs of nonzero
-    masses, at most G**2 on a grid of G points.
-    """
-    one_minus, pairs, (high_other, low_other), weights = tables
-
-    def mean_one_minus_action(pair_list):
-        total = 0
-        if family == 1:
-            for i, j, p in pair_list:
-                total += p * one_minus[i if i > k else (j if j > k else k)]
-        else:
-            # High own signal: adopt at r when only child 2 has adopted.
-            for i, j, p in pair_list:
-                total += p * one_minus[k if (i > k and j <= k) else i]
-        return total
-
-    high_branch, low_branch = map(mean_one_minus_action, pairs)
-    if family == 1:
-        # Family 1 never consults the signal; a single branch suffices.
-        return high_branch - low_branch
+    weights = [p_high, 1 - p_high, p_low, 1 - p_low]
+    if is_float:
+        # Fraction * float is float(Fraction) * float: the same bits.
+        weights = [float(w) for w in weights]
+    one_minus = np.array([1 - t for t in mu.grid], dtype=dtype)
+    # At the last grid point, 1, family 2 always copies child 1: that row
+    # is also its low-own-signal branch, which does not depend on r.
+    ks = np.array(list(ks) + [len(mu.grid) - 1], dtype=np.intp)
+    branches = []
+    for masses in (mu.mass_high, mu.mass_low):
+        nz = [i for i, x in enumerate(masses) if x]
+        i = np.repeat(nz, len(nz))
+        j = np.tile(nz, len(nz))
+        m = np.array(masses, dtype=dtype)
+        p = np.take(m, i) * np.take(m, j)
+        sums = ([], [])
+        rows = max(1, _BLOCK_ELEMENTS // len(p))
+        for start in range(0, len(ks), rows):
+            k = ks[start:start + rows, None]
+            late, j_late = i > k, j > k
+            acts = (np.where(late, i, np.where(j_late, j, k)),
+                    # High own signal: adopt at r when only child 2 has adopted.
+                    np.where(j_late, i, np.where(late, k, i)))
+            for total, act in zip(sums, acts):
+                total += np.cumsum(p * np.take(one_minus, act), axis=1)[:, -1].tolist()
+        branches.append((sums[0][:-1], sums[1][:-1], sums[1][-1]))
+    (high_1, high_2, high_other), (low_1, low_2, low_other) = branches
     p_high, q_high, p_low, q_low = weights
-    value_high = p_high * high_branch + q_high * high_other
-    value_low = p_low * low_branch + q_low * low_other
-    return value_high - value_low
+    return ([h - l for h, l in zip(high_1, low_1)],
+            [(p_high * h + q_high * high_other) - (p_low * l + q_low * low_other)
+             for h, l in zip(high_2, low_2)])
 
 
 @dataclass(frozen=True)
@@ -244,11 +237,11 @@ def psi(mu: Mu, model: SignalModel, r_grid: Optional[Sequence] = None) -> PsiRes
     restricting the search to the support loses nothing for atomic
     distributions because the family rules only compare times against r.
 
-    The pair products are formed once per call and shared by every
-    family, switch time and signal branch, so a call on a grid of G points
-    with P pairs of nonzero masses costs O(G * P) multiply-adds, at most
-    O(G**3).  Float values keep the sums in grid-pair order and are
-    bit-identical to evaluating each switch time on its own.
+    One call of _values_on_grid evaluates both families at every candidate
+    switch time, O(G * P) work for G candidates and P pairs of nonzero
+    masses in blocks of bounded memory.  Float values are bit-identical to
+    evaluating each switch time on its own with a double loop over the
+    grid; the first candidate wins ties, family 1 before family 2.
     """
     if r_grid is None:
         points = list(enumerate(mu.grid))
@@ -261,11 +254,10 @@ def psi(mu: Mu, model: SignalModel, r_grid: Optional[Sequence] = None) -> PsiRes
         missing = [r for k, r in points if k is None]
         if missing:
             raise ValueError(f"switch times {missing} are not on the support grid")
-    tables = _grid_tables(mu, model)
+    values = _values_on_grid(mu, model, [k for k, _ in points])
     best = None
-    for family in (1, 2):
-        for k, r in points:
-            value = _w_on_grid(family, k, tables)
+    for family, family_values in zip((1, 2), values):
+        for value, (_, r) in zip(family_values, points):
             if best is None or value > best.value:
                 best = PsiResult(value=value,
                                  argmax=RootStrategySpec(family=family, r=r))

@@ -6,14 +6,16 @@ results.csv (per-agent rows for kinds that produce them), plotdata.csv
 (tidy series for external plotting), and manifest.json (config hash,
 tool version, wall time).  The same config and seed give byte-identical
 CSV files; the manifest hash depends only on the parsed config value,
-never on whitespace.
+never on whitespace.  Warnings still go to stderr, and results.json
+lists their messages under "warnings", each once, in first-seen order.
 
 Exit codes: 0 success, 2 validation failure (unreadable or invalid
 config, missing seed, parameter regime errors) or an unexpected error,
 3 assertion failure (a verified bound or replay check does not hold).
-Errors are reported on one stderr line, never as a traceback.  The JSON
-artifacts are strict JSON: non-finite floats are written as the strings
-"NaN", "Infinity" and "-Infinity".
+Errors are reported on one stderr line that names the config field or
+file at fault, never as a traceback.  The JSON artifacts are strict
+JSON: non-finite floats are written as the strings "NaN", "Infinity"
+and "-Infinity".
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 import os
 import sys
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import metadata
@@ -142,6 +146,34 @@ class ExperimentConfig:
             raise ConfigError(f"params.{name}: {exc}") from None
 
 
+@contextmanager
+def _section(name: str, spec=None):
+    """Report a ValueError or TypeError raised inside as a ConfigError
+    that names the config field: name, or name.kind for a one-key spec,
+    unless the message already starts with name."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        message = str(exc)
+        if not message.startswith(name):
+            if isinstance(spec, dict) and len(spec) == 1:
+                name = f"{name}.{next(iter(spec))}"
+            message = f"{name}: {message}"
+        raise ConfigError(message) from None
+
+
+def _network(spec):
+    with _section("network", spec):
+        return network_from_spec(spec)
+
+
+def _signal_model(spec):
+    with _section("signal", spec):
+        return signal_model_from_spec(spec)
+
+
 def _int_field(raw: dict, name: str, minimum: int | None = None):
     """raw[name] as an int (None when absent); a value that does not
     convert, or lies below minimum, is a ConfigError naming the field."""
@@ -208,9 +240,11 @@ def _build_profile(config: ExperimentConfig, network, model):
         if len(spec) != network.n:
             raise ConfigError(
                 f"strategy list has {len(spec)} entries for {network.n} agents")
-        return {i: strategy_from_spec(s, model, config.delta)
-                for i, s in enumerate(spec)}
-    return strategy_from_spec(spec, model, config.delta)
+        with _section("strategy"):
+            return {i: strategy_from_spec(s, model, config.delta)
+                    for i, s in enumerate(spec)}
+    with _section("strategy", spec):
+        return strategy_from_spec(spec, model, config.delta)
 
 
 def _checks_dict(checks) -> dict | None:
@@ -228,8 +262,8 @@ def _checks_dict(checks) -> dict | None:
 def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
     config.require("network", "signal", "strategy", "delta", "horizon",
                    "replications")
-    network = network_from_spec(config.network)
-    model = signal_model_from_spec(config.signal)
+    network = _network(config.network)
+    model = _signal_model(config.signal)
     min_p = config.param("min_p_hat", convert=float)
     if min_p is not None:
         focal = config.param("focal_agent", 0, convert=as_int)
@@ -295,8 +329,8 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
 
 def _run_solve(config: ExperimentConfig, verify: bool) -> _Outcome:
     config.require("network", "signal", "delta", "horizon")
-    network = network_from_spec(config.network)
-    model = signal_model_from_spec(config.signal)
+    network = _network(config.network)
+    model = _signal_model(config.signal)
     result = solve_equilibrium(network, model, _solve_config(config))
     report = {
         "converged": result.converged,
@@ -317,8 +351,9 @@ def _run_solve(config: ExperimentConfig, verify: bool) -> _Outcome:
 
 def _run_verify_spontaneous(config: ExperimentConfig, verify: bool) -> _Outcome:
     config.require("delta")
-    q = config.param("q", required=True)
-    result = verify_spontaneous_example(as_fraction(q), as_fraction(config.delta))
+    # binary_model checks that q lies in (1/2, 1).
+    q = config.param("q", required=True, convert=lambda v: binary_model(v).atoms[0][0])
+    result = verify_spontaneous_example(q, as_fraction(config.delta))
     return _Outcome(report=result.as_json_dict(), ok=result.ok)
 
 
@@ -328,8 +363,9 @@ def _run_bounds(config: ExperimentConfig, verify: bool) -> _Outcome:
     adopt_probs = config.param(
         "adopt_probs",
         convert=lambda pairs: [(float(p), float(r)) for p, r in pairs])
-    report = bound_report(eps, m, adopt_probs=adopt_probs,
-                          target=config.param("target", 0.9, convert=float))
+    target = config.param("target", 0.9, convert=float)
+    with _section("params"):
+        report = bound_report(eps, m, adopt_probs=adopt_probs, target=target)
     plot = [{"series": "c_k", "x": int(k), "y": v, "ci": ""}
             for k, v in sorted(report["c_k"].items(), key=lambda kv: int(kv[0]))]
     plot += [{"series": "C_k", "x": int(k), "y": v, "ci": ""}
@@ -350,8 +386,7 @@ def _run_bounds(config: ExperimentConfig, verify: bool) -> _Outcome:
 
 
 def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
-    signal = config.signal or {"binary": 0.75}
-    model = signal_model_from_spec(signal)
+    model = _signal_model(config.signal or {"binary": 0.75})
     mu = config.param("mu", convert=Mu.from_json_dict)
     if mu is not None:
         u = u_of_mu(mu)
@@ -382,8 +417,10 @@ def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
     n = 1000 if config.replications is None else config.replications
     sampler = config.param("sampler_delta", 0.5,
                            convert=lambda d: default_sampler(delta=float(d)))
-    result = estimate_C_eps(eps, model, sampler, n,
-                            rng=np.random.default_rng(config.seed))
+    # Past a valid eps, an error means no draw reached it in time.
+    with _section("params.eps" if not 0 < eps < 1 else "params.eps, replications"):
+        result = estimate_C_eps(eps, model, sampler, n,
+                                rng=np.random.default_rng(config.seed))
     report = {
         "eps": result.eps,
         "value": result.value,
@@ -403,13 +440,15 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
     signal = config.signal
     if not (isinstance(signal, dict) and set(signal) == {"binary"}):
         raise ConfigError("protocol-sigma needs a binary signal spec")
+    vmodel = _signal_model(signal)
     q = signal["binary"]
     n = config.param("n", 5000, convert=as_int)
     k = config.param("k", 50, convert=as_int)
     eta = config.param("eta", required=True, convert=float)
-    result = sigma_ring_estimate(n, k, eta, q, config.replications,
-                                 config.seed,
-                                 agent=config.param("agent", convert=as_int))
+    agent = config.param("agent", convert=as_int)
+    with _section("params"):
+        result = sigma_ring_estimate(n, k, eta, q, config.replications,
+                                     config.seed, agent=agent)
     rows = list(result.rows())
     plot = [{"series": "p_hat_by_agent", "x": r["agent"], "y": r["p_hat"],
              "ci": r["ci"]} for r in rows]
@@ -426,8 +465,6 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
         report["min_p_hat"] = min_p
         ok = result.p_hat >= min_p
     if verify:
-        vq = as_fraction(q)
-        vmodel = binary_model(vq)
         vnet = build_line(14, ring=True)
         vprof = ProtocolSigma(eta=Fraction(1, 4), k=3)
         bits = np.array([1 if b >= Fraction(1, 2) else 0
@@ -452,8 +489,8 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
 
 def _run_outsider(config: ExperimentConfig, verify: bool) -> _Outcome:
     config.require("network", "signal", "horizon")
-    network = network_from_spec(config.network)
-    model = signal_model_from_spec(config.signal)
+    network = _network(config.network)
+    model = _signal_model(config.signal)
     profile = _build_profile(config, network,
                              model) if config.strategy else None
     if profile is None:
@@ -506,8 +543,15 @@ def run(config_path, *, seed=None, out=None, jobs=None, verify=False) -> int:
         config = ExperimentConfig.from_dict(raw)
         out_dir = Path(out or config.out or "out")
         out_dir.mkdir(parents=True, exist_ok=True)
-        outcome = _HANDLERS[config.kind](config, verify)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                outcome = _HANDLERS[config.kind](config, verify)
+        finally:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         outcome.report["ok"] = outcome.ok
+        outcome.report["warnings"] = list(dict.fromkeys(str(w.message)
+                                                        for w in caught))
         _write_artifacts(out_dir, config, raw, outcome, started)
     except (ConfigError, RegimeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

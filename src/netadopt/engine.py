@@ -565,7 +565,7 @@ def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
         n_agents=n,
         k=k,
         eta=eta_f,
-        q=float(q),
+        q=float(as_fraction(q)),
         n_reps=n_reps,
         seed=seed,
         agent=agent,

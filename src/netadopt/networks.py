@@ -256,11 +256,6 @@ def parse_edgelist(text: str, n: int | None = None, label: str = "") -> Network:
     return Network(n=n, edges=frozenset(edges), label=label)
 
 
-def format_edgelist(network: Network) -> str:
-    """Inverse of parse_edgelist: sorted 'i j' lines."""
-    return "\n".join(f"{i} {j}" for i, j in sorted(network.edges)) + "\n"
-
-
 def network_from_spec(spec) -> Network:
     """Build a network from a config fragment.
 

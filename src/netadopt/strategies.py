@@ -20,7 +20,6 @@ under-declares them is skipped in periods where it would have adopted.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -285,7 +284,8 @@ class ProtocolSigma(Strategy):
         neighbors = times.neighbors
         if not set(neighbors) <= {left, right}:
             raise ValueError(
-                f"protocol requires a labeled line or ring; agent {agent} observes {sorted(neighbors)}"
+                f"the sigma strategy needs a network that is a labeled line or ring; "
+                f"agent {agent} observes {sorted(neighbors)}"
             )
         sides = {"both": (left, right), "ltr": (left,), "rtl": (right,)}
         sides = [j for j in sides[self.orientation] if j in neighbors]
@@ -356,46 +356,14 @@ def grid_index_of_time(r, delta):
     return m
 
 
-def aux_family_action(family: int, r, t1, t2, belief_high: bool):
-    """Continuous adoption score chosen by a family rule.
-
-    Times live in [0, 1] with 1 meaning never; the returned score a shares
-    that scale.  Family 1: a = t1 when t1 > r, else max(t2, r).  Family 2:
-    a = r when t1 > r, t2 <= r and the belief strictly favors the high
-    state; otherwise a = t1.
-    """
-    return _aux_action_raw(family, as_fraction(r), as_fraction(t1), as_fraction(t2), belief_high)
-
-
 def _aux_action_raw(family: int, r, t1, t2, belief_high: bool):
-    # Shared case table without coercion; callers guarantee r, t1 and t2
-    # share comparable arithmetic.
+    # The family rules' continuous-time adoption score, without coercion:
+    # the double-loop oracle of psi in the tests reads it per grid pair.
     if family == 1:
         return t1 if t1 > r else max(t2, r)
     if family == 2:
         return r if (t1 > r and t2 <= r and belief_high) else t1
     raise ValueError(f"family must be 1 or 2, got {family!r}")
-
-
-def continuous_time_to_period(a, delta):
-    """Map a continuous adoption score to the discrete period after the lag.
-
-    Grid scores 1 - delta**m map exactly to period m + 1; off-grid scores
-    round up to the next period; a = 1 maps to NEVER.
-    """
-    a = as_fraction(a)
-    delta = as_fraction(delta)
-    if not 0 <= a <= 1:
-        raise ValueError(f"adoption score must be in [0, 1], got {float(a)}")
-    if a == 1:
-        return NEVER
-    x = math.log(float(1 - a)) / math.log(float(delta))
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        m = int(nearest)
-    else:
-        m = math.ceil(x)
-    return m + 1
 
 
 @dataclass(frozen=True)

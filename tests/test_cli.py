@@ -7,10 +7,12 @@ stability, and byte-level determinism are the contract under test.
 
 import json
 import math
+import warnings
 
 import pytest
 
 from netadopt.cli import ExperimentConfig, config_hash, main, run
+from netadopt.signals import SignalModel
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -341,6 +343,20 @@ def test_protocol_sigma_rejects_a_stride_below_three(tmp_path, capsys):
     assert "k must be an int >= 3" in capsys.readouterr().err
 
 
+def test_protocol_sigma_reads_a_fraction_string_accuracy(tmp_path):
+    outputs = []
+    for q in (0.75, "3/4"):
+        payload = {"kind": "protocol-sigma", "seed": 5,
+                   "signal": {"binary": q}, "replications": 10,
+                   "params": {"n": 14, "k": 3, "eta": 0.25}}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / f"out{len(outputs)}"
+        assert run(cfg, out=out, verify=True) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("results.json", "results.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_kind_reports_thresholds_without_rows(tmp_path):
     payload = {
         "kind": "solve",
@@ -556,3 +572,67 @@ def test_config_hash_is_sha256_of_canonical_json():
     assert len(digest) == 64
     assert digest == config_hash(dict(reversed(list(payload.items()))))
     assert digest != config_hash({**payload, "seed": 2})
+
+
+
+def aux_roots_config():
+    # Agents 0, 1 and 2 each copy their two children with the same cutoff;
+    # r = 0.3 lies between the grid points 1 - 0.9**3 and 1 - 0.9**4.
+    aux = {"aux": {"family": 2, "r": 0.3}}
+    return {"kind": "simulate", "seed": 5,
+            "network": {"tree": {"d": 2, "depth": 2}},
+            "signal": {"binary": 0.75},
+            "strategy": [aux, aux, aux] + ["myopic"] * 4,
+            "delta": 0.9, "horizon": 4, "replications": 20}
+
+
+def shown_warnings(monkeypatch):
+    """Messages passed to warnings.showwarning, which prints to stderr."""
+    shown = []
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda message, *args, **kwargs: shown.append(str(message)))
+    return shown
+
+
+def test_an_off_grid_aux_cutoff_is_listed_once_in_results_json(tmp_path,
+                                                               monkeypatch):
+    shown = shown_warnings(monkeypatch)
+    cfg = write_config(tmp_path, "cfg.json", aux_roots_config())
+    message = "cutoff 0.3 is off the geometric grid; snapped down to 1 - delta**3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(cfg, out=tmp_path / "out") == 0
+    assert read_json(tmp_path / "out", "results.json")["warnings"] == [message]
+    # Each warning is still shown as it was raised.
+    assert shown == [message] * 3
+    # The CSV files do not depend on whether warnings are shown.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(cfg, out=tmp_path / "quiet") == 0
+    assert read_json(tmp_path / "quiet", "results.json")["warnings"] == []
+    for name in ("results.csv", "plotdata.csv"):
+        assert (tmp_path / "out" / name).read_bytes() \
+            == (tmp_path / "quiet" / name).read_bytes()
+
+
+def test_clamped_log_ratios_are_listed_in_order(tmp_path, monkeypatch):
+    shown = shown_warnings(monkeypatch)
+    # Period-0 adoption with probability 1 under H: every agent that holds
+    # out has zero likelihood under H, so the outsider's log-ratio is
+    # clamped once per such agent.
+    monkeypatch.setattr(SignalModel, "indicator_probs",
+                        lambda self, threshold=None: (1.0, 0.5))
+    payload = {"kind": "outsider", "seed": 1,
+               "network": {"line": {"n": 6}}, "signal": {"binary": 0.75},
+               "horizon": 0}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert run(cfg, out=out) == 0
+    report = read_json(out, "results.json")
+    holdouts = [i for i, t in enumerate(report["times"]) if t != 0]
+    assert len(holdouts) >= 2
+    expected = [f"agent {i}: zero likelihood under H; log-ratio clamped"
+                for i in holdouts]
+    assert report["warnings"] == shown == expected

@@ -1,14 +1,15 @@
 """The command-line contract on random, mostly invalid configs.
 
 Every config goes through main() in-process.  Whatever it holds, the run
-must exit 0, 2 or 3 without raising; exit 2 prints one "error:" line, and
-exits 0 and 3 leave strict-JSON artifacts whose verdict matches the exit
+must exit 0, 2 or 3 without raising; exit 2 prints one "error:" line that
+names the config field or the file at fault, and exits 0 and 3 leave strict-JSON artifacts whose verdict matches the exit
 code.  Sizes stay small: at most 6 agents, 20 replications and horizon 5.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,7 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netadopt.cli import KINDS, main
+from netadopt.cli import _CONFIG_KEYS, KINDS, main
+
+# An exit-2 message names a top-level config field (params.* included) or
+# the config file itself.
+NAMES_A_FIELD = re.compile(
+    r"\b(config|%s)\b" % "|".join(sorted(_CONFIG_KEYS)))
 
 # Per config field: values that may work, then values that must not.
 FIELDS = {
@@ -126,6 +132,7 @@ def test_random_configs_keep_the_cli_contract(raw, verify):
         assert code in (0, 2, 3)
         if code == 2:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert NAMES_A_FIELD.search(lines[0]), lines[0]
             return
         assert lines == []
         report = _strict((out / "results.json").read_text())
@@ -171,6 +178,27 @@ def _exit_and_error(tmp_path, **fields):
     ({"signal": {"grid": {"n": 3.7}}}, "signal.grid.n: "),
     ({"signal": {"grid": {"n": "x"}}}, "signal.grid.n: "),
     ({"signal": {"grid": {"lo": "q"}}}, "signal.grid.lo: "),
+    ({"signal": {"binary": 1.5}}, "signal.binary: binary accuracy q "),
+    ({"signal": {"grid": {"n": 1}}}, "signal.grid: "),
+    ({"network": {"line": {"n": 0}}}, "network.line: invalid size"),
+    ({"network": {"edgelist": "0 x"}}, "network.edgelist: line 1: "),
+    ({"strategy": {"sigma": {"eta": 0.25, "k": 2}}}, "strategy.sigma: "),
+    ({"strategy": {"center_bayes": {"period": -1}}},
+     "strategy.center_bayes: "),
+    ({"strategy": {"aux": {"family": 3, "r": 0.5}}}, "strategy.aux: family"),
+    ({"strategy": {"threshold_table_text": "garbage"}},
+     "strategy.threshold_table_text: "),
+    ({"strategy": ["myopic", {"sigma": {"eta": 0.25, "k": 2}}, "myopic",
+                   "myopic"]}, "strategy: "),
+    ({"kind": "auxmodel", "params": {"eps": 1.5}},
+     "params.eps: error level eps"),
+    ({"kind": "auxmodel", "replications": 1, "params": {"eps": 0.99}},
+     "params.eps, replications: sampler produced no acceptable"),
+    ({"kind": "verify-spontaneous", "params": {"q": "x"}}, "params.q: "),
+    ({"kind": "verify-spontaneous", "params": {"q": 0.5}}, "params.q: "),
+    ({"kind": "bounds", "params": {"eps": 0.1, "m": 0}}, "params: segment"),
+    ({"kind": "protocol-sigma", "params": {"eta": 0.25, "n": 2, "k": 3}},
+     "params: ring"),
 ])
 def test_bad_config_fields_are_named(tmp_path, fields, named):
     code, err = _exit_and_error(tmp_path, **fields)

@@ -13,12 +13,11 @@ from netadopt.strategies import (
     ProtocolSigma,
     RootStrategySpec,
     ThresholdRule,
-    aux_family_action,
-    continuous_time_to_period,
     follow_tree_neighbors,
     grid_index_of_time,
     myopic_rule,
     sigma_eta_k_step,
+    _aux_action_raw,
     strategy_from_spec,
 )
 
@@ -179,16 +178,16 @@ def test_aux_family_action_cases():
     r = Fraction(1, 2)
     late, early = Fraction(3, 4), Fraction(1, 4)
     # family 1: copy a late first child, else wait for max(t2, r)
-    assert aux_family_action(1, r, late, early, True) == late
-    assert aux_family_action(1, r, early, late, True) == late
-    assert aux_family_action(1, r, early, early, True) == r
+    assert _aux_action_raw(1, r, late, early, True) == late
+    assert _aux_action_raw(1, r, early, late, True) == late
+    assert _aux_action_raw(1, r, early, early, True) == r
     # family 2: jump at r only on (late, early, high belief)
-    assert aux_family_action(2, r, late, early, True) == r
-    assert aux_family_action(2, r, late, early, False) == late
-    assert aux_family_action(2, r, late, late, True) == late
-    assert aux_family_action(2, r, early, early, True) == early
+    assert _aux_action_raw(2, r, late, early, True) == r
+    assert _aux_action_raw(2, r, late, early, False) == late
+    assert _aux_action_raw(2, r, late, late, True) == late
+    assert _aux_action_raw(2, r, early, early, True) == early
     with pytest.raises(ValueError, match="family"):
-        aux_family_action(3, r, early, late, True)
+        _aux_action_raw(3, r, early, late, True)
 
 
 def test_grid_index_of_time():
@@ -199,16 +198,6 @@ def test_grid_index_of_time():
     assert is_never(grid_index_of_time(Fraction(1), delta))
     with pytest.warns(UserWarning, match="off the geometric grid"):
         assert grid_index_of_time(Fraction(3, 5), delta) == 1
-
-
-def test_continuous_time_to_period():
-    delta = Fraction(1, 2)
-    assert continuous_time_to_period(Fraction(0), delta) == 1
-    assert continuous_time_to_period(Fraction(1, 2), delta) == 2
-    assert continuous_time_to_period(Fraction(7, 8), delta) == 4
-    assert is_never(continuous_time_to_period(Fraction(1), delta))
-    # off-grid rounds up to the next period
-    assert continuous_time_to_period(Fraction(6, 10), delta) == 3
 
 
 def test_aux_root_rule_family2_jump():
