@@ -394,26 +394,13 @@ def empirical_info(
     )
 
 
-def _chi_mean_high(p, q):
-    return (1.0 - p) * np.log((1.0 - p) / (1.0 - q)) + p * np.log(p / q)
-
-
-def _chi_mean_low(p, q):
-    return (1.0 - q) * np.log((1.0 - p) / (1.0 - q)) + q * np.log(p / q)
-
-
-def _chi_var_high(p, q):
-    f = _chi_mean_high(p, q)
+def _chi_moments(p, q, w):
+    """Mean and variance of one indicator's log-likelihood ratio when it
+    fires with probability w: p under the high state, q under the low."""
     lo = np.log((1.0 - p) / (1.0 - q))
     hi = np.log(p / q)
-    return (1.0 - p) * (lo - f) ** 2 + p * (hi - f) ** 2
-
-
-def _chi_var_low(p, q):
-    f = _chi_mean_low(p, q)
-    lo = np.log((1.0 - p) / (1.0 - q))
-    hi = np.log(p / q)
-    return (1.0 - q) * (lo - f) ** 2 + q * (hi - f) ** 2
+    mean = (1.0 - w) * lo + w * hi
+    return mean, (1.0 - w) * (lo - mean) ** 2 + w * (hi - mean) ** 2
 
 
 @dataclass(frozen=True)
@@ -453,8 +440,10 @@ def _chi_region_extrema(eps: float, grid_step: float) -> tuple[float, float]:
             raise ValueError("separation region is empty for this eps")
         p = pg[mask]
         q = qg[mask]
-        lower = np.minimum(_chi_mean_high(p, q), -_chi_mean_low(p, q))
-        upper = np.maximum(_chi_var_high(p, q), _chi_var_low(p, q))
+        mean_high, var_high = _chi_moments(p, q, p)
+        mean_low, var_low = _chi_moments(p, q, q)
+        lower = np.minimum(mean_high, -mean_low)
+        upper = np.maximum(var_high, var_low)
         i_min = int(np.argmin(lower))
         i_max = int(np.argmax(upper))
         return (
@@ -550,8 +539,8 @@ def chi_stats(
             violations=violations,
         )
     rho, rho_prime = _chi_region_extrema(eps, grid_step)
-    mean_high = float(sum(_chi_mean_high(p, q) for p, q in pairs))
-    mean_low = float(sum(_chi_mean_low(p, q) for p, q in pairs))
+    mean_high = float(sum(_chi_moments(p, q, p)[0] for p, q in pairs))
+    mean_low = float(sum(_chi_moments(p, q, q)[0] for p, q in pairs))
     return ChiReport(
         applicable=True,
         eps=eps,

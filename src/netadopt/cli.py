@@ -259,6 +259,15 @@ def _checks_dict(checks) -> dict | None:
     }
 
 
+def _solve(network, model, config: ExperimentConfig):
+    """solve_equilibrium, reporting a scenario budget overrun as a
+    ConfigError that names the fields setting how many runs are live."""
+    try:
+        return solve_equilibrium(network, model, _solve_config(config))
+    except ScenarioBudgetError as exc:
+        raise ConfigError(f"network, horizon: {exc}") from None
+
+
 def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
     config.require("network", "signal", "strategy", "delta", "horizon",
                    "replications")
@@ -272,7 +281,7 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
                               f", got {focal}")
     solve_report = None
     if config.strategy == "solve":
-        solve_report = solve_equilibrium(network, model, _solve_config(config))
+        solve_report = _solve(network, model, config)
         if not solve_report.converged:
             return _Outcome(
                 report={"error": "equilibrium iteration did not converge",
@@ -331,7 +340,7 @@ def _run_solve(config: ExperimentConfig, verify: bool) -> _Outcome:
     config.require("network", "signal", "delta", "horizon")
     network = _network(config.network)
     model = _signal_model(config.signal)
-    result = solve_equilibrium(network, model, _solve_config(config))
+    result = _solve(network, model, config)
     report = {
         "converged": result.converged,
         "sweeps": result.sweeps,

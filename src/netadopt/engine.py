@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,17 +131,17 @@ class _RunPlan:
     """What every run of one profile on one network and model shares.
 
     Strategies, activity limits, one times list that each run resets, each
-    agent's view of it and key function (built on first use), and the memo.
-    While no agent an agent observes has adopted, the strategy sees the
-    history (t, ()) and nothing else that differs between runs, so quiet
-    files its answer under (agent, period, atom).  After that, by_strategy
-    files it under the key its strategy's decision_key gives, which captures
-    all the answer reads, in one dict per strategy object shared by its agents.
+    agent's view of it and decision key function, and the answer memo: one
+    dict per strategy object, which memos[i] names for every agent i that
+    holds it.  While no agent an agent observes has adopted, the strategy
+    sees the history (t, ()) and nothing else that differs between runs, so
+    its answer is filed under (agent, period, atom) packed into one int.
+    After that it is filed under the tuple its decision_key gives, which
+    captures all the answer reads; without a key it is asked every time.
     """
 
     __slots__ = ("network", "strategies", "spont", "lag", "beliefs",
-                 "float_beliefs", "times", "views", "keys", "quiet",
-                 "by_strategy")
+                 "float_beliefs", "times", "views", "keys", "memos")
 
     def __init__(self, network, model: SignalModel, profile):
         self.network = network
@@ -149,29 +151,19 @@ class _RunPlan:
         self.beliefs = model.beliefs
         self.float_beliefs = tuple(float(b) for b in self.beliefs)
         self.times = [NEVER] * network.n
-        self.views = [None] * network.n
-        self.keys = [None] * network.n
-        self.quiet = {}
-        self.by_strategy = {}
-
-    def view(self, i) -> NeighborTimes:
-        if self.views[i] is None:
-            self.views[i] = NeighborTimes(self.network.out_neighbors(i), self.times)
-        return self.views[i]
-
-    def key_function(self, i):
-        """(agent i's decision key function or None, its strategy's dict)."""
-        s = self.strategies[i]
-        key = s.decision_key(self.network, i, self.view(i))
-        pair = self.keys[i] = (key, key and self.by_strategy.setdefault(id(s), {}))
-        return pair
+        self.views = [NeighborTimes(network.out_neighbors(i), self.times)
+                      for i in network.agents]
+        self.keys = [s.decision_key(network, i, self.views[i])
+                     for i, s in enumerate(self.strategies)]
+        shared = {}
+        self.memos = [shared.setdefault(id(s), {}) for s in self.strategies]
 
     def decide(self, i, t, atom):
         """Ask agent i's strategy; True adopts, False stays out, and a
         float is the chance of adopting, drawn from the run's stream."""
         p = self.strategies[i].adopt_probability(DecisionContext(
             agent=i, period=t, atom=atom, belief=self.beliefs[atom],
-            times=self.view(i), network=self.network))
+            times=self.views[i], network=self.network))
         return True if p == 1 else False if p == 0 else float(p)
 
 
@@ -212,7 +204,7 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
 
     times = plan.times
     times[:] = [NEVER] * n
-    spont, lag, keys, quiet = plan.spont, plan.lag, plan.keys, plan.quiet
+    spont, lag, keys, memos = plan.spont, plan.lag, plan.keys, plan.memos
     n_atoms = model.n_atoms
     no_cue = -math.inf
     last_cue = [no_cue] * n  # latest adoption among observed agents
@@ -230,16 +222,15 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
             atom = atoms[i]
             if last_cue[i] == no_cue:
                 # (agent, period, atom) packed into one int
-                key, memo = (t * n + i) * n_atoms + atom, quiet
+                key = (t * n + i) * n_atoms + atom
             else:
-                keyer, memo = keys[i] or plan.key_function(i)
-                key = keyer and keyer(t, atom)
+                key = keys[i] and keys[i](t, atom)
             if key is None:
                 verdict = plan.decide(i, t, atom)
             else:
-                verdict = memo.get(key)
+                verdict = memos[i].get(key)
                 if verdict is None:
-                    verdict = memo[key] = plan.decide(i, t, atom)
+                    verdict = memos[i][key] = plan.decide(i, t, atom)
             if verdict is True or (verdict is not False
                                    and rng.random() < verdict):
                 adopting.append(i)
@@ -330,16 +321,8 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     shards = _shard_ranges(n_reps, jobs)
     args = [(network, model, profile, horizon, deltaf, seed, lo, hi)
             for lo, hi in shards]
-    if jobs > 1 and len(shards) > 1:
-        try:
-            workers = min(len(shards), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(_estimate_shard, args))
-        except Exception as exc:  # pickling or platform failure: stay correct
-            warnings.warn(f"parallel estimation failed ({exc}); running sequentially")
-            partials = [_estimate_shard(a) for a in args]
-    else:
-        partials = [_estimate_shard(a) for a in args]
+    partials = (_parallel_shards(args) if jobs > 1 and len(shards) > 1
+                else [_estimate_shard(a) for a in args])
 
     correct = sum(p["correct"] for p in partials)
     util = sum(p["util"] for p in partials)
@@ -368,6 +351,25 @@ def _shard_ranges(n_reps: int, jobs: int):
         return [(0, n_reps)]
     per = math.ceil(n_reps / jobs)
     return [(lo, min(lo + per, n_reps)) for lo in range(0, n_reps, per)]
+
+
+def _parallel_shards(args) -> list:
+    """Run the shards in at most one worker process per CPU, or here when
+    the arguments do not pickle or the pool breaks or cannot start.  A
+    shard's own error propagates, as it would in a sequential run."""
+    try:
+        pickle.dumps(args)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        failure = exc
+    else:
+        try:
+            workers = min(len(args), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_estimate_shard, args))
+        except (BrokenProcessPool, OSError) as exc:
+            failure = exc
+    warnings.warn(f"parallel estimation failed ({failure}); running sequentially")
+    return [_estimate_shard(a) for a in args]
 
 
 def _estimate_shard(packed):

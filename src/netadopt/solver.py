@@ -636,28 +636,21 @@ def _symmetric_mixing_search(network, model, config, profile):
     return None
 
 
-@dataclass(frozen=True)
-class _DeferMajorityRule(Strategy):
+def _defer_majority_rule(anchors) -> ThresholdRule:
     """Defer one period, then adopt on a majority among own signal and anchors.
 
     The anchors are agents known to adopt at period 0 exactly when their
     own signal is high, so their period-0 actions reveal their signals.
     At period 1 the rule adopts when at least two of (own signal, anchor
-    signals) are high; it never acts at any other period.
+    signals) are high: always when both anchors adopted at 0, on a belief
+    of at least 1/2 when one did.  It never acts at any other period.
     """
-
-    anchors: tuple
-
-    spontaneous_until = 0
-    max_reaction_lag = 1
-
-    def adopt_probability(self, ctx):
-        if ctx.period != 1:
-            return ZERO
-        high = sum(1 for j in self.anchors if ctx.times[j] == 0)
-        if as_fraction(ctx.belief) >= HALF:
-            high += 1
-        return ONE if high >= 2 else ZERO
+    a1, a2 = anchors
+    return ThresholdRule(entries={
+        (None, (1, ((a1, 0), (a2, 0)))): (ZERO, ONE),
+        (None, (1, ((a1, 0),))): (HALF, ONE),
+        (None, (1, ((a2, 0),))): (HALF, ONE),
+    }, label="defer-majority")
 
 
 @dataclass(frozen=True)
@@ -815,17 +808,17 @@ def verify_spontaneous_example(q, delta) -> SpontaneousReport:
     for b in groups["B"]:
         atoms[b] = high_atom
 
-    anchors = (groups["a1"], groups["a2"])
+    defer = _defer_majority_rule((groups["a1"], groups["a2"]))
     watcher = _ExactWatcherRule(
         q=qf, deferring=groups["B"], isolated=groups["C"],
         follower=groups["d"])
     profile = {groups["a1"]: myopic_rule(model),
                groups["a2"]: myopic_rule(model),
                groups["d"]: FollowRule(tree_neighbors={groups["d"]: (groups["e"],)}),
-               groups["e"]: _DeferMajorityRule(anchors=anchors),
+               groups["e"]: defer,
                groups["f"]: watcher}
     for b in groups["B"]:
-        profile[b] = _DeferMajorityRule(anchors=anchors)
+        profile[b] = defer
     for c in groups["C"]:
         profile[c] = myopic_rule(model)
 

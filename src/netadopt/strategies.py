@@ -4,10 +4,10 @@ two-child root rules mapped from continuous adoption scores.
 A strategy answers adopt_probability(ctx) with the chance it adopts in the
 current period, given its own belief and the adoption times of observed
 neighbors strictly before the period.  Strategies are immutable and
-stateless across runs; anything they need they recompute from the context
-(exact tables a strategy builds from its own parameters are caches, not
-state).  Two declared attributes decide which agents the engine and the
-solver ask in each period, and when a run ends:
+stateless: an answer depends only on the parameters and the context, so
+the engine reuses it for any decision with an equal key (decision_key).
+Two declared attributes decide which agents the engine and the solver ask
+in each period, and when a run ends:
 
 - spontaneous_until: last period the strategy might adopt with no neighbor
   having adopted (-1 if it never adopts unprompted).
@@ -42,8 +42,9 @@ class Strategy:
         """A function key(period, atom) for agent's decisions after an agent
         it observes has adopted, or None (the default) to be asked at each.
         times is agent's view.  Equal keys must get equal answers.  Agents
-        that hold one strategy object share its answers, so a key is a
-        tuple that holds the agent when the answer depends on it."""
+        holding one strategy object share one answer dict (quiet answers sit
+        there under ints), so a key is a tuple that holds the agent when the
+        answer depends on it."""
         return None
 
 
@@ -437,9 +438,6 @@ class CenterBayesRule(Strategy):
     period: int = 1
     # The model's period-0 indicator likelihoods (P[adopt | H], P[adopt | L]).
     _indicator: tuple = field(init=False, repr=False, compare=False)
-    # Exact verdicts keyed by (atom, observed, adopted), filled on first use.
-    _table: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if self.period < 0:
@@ -454,27 +452,23 @@ class CenterBayesRule(Strategy):
     def max_reaction_lag(self) -> int:
         return max(self.period, 1)
 
-    def _adopts(self, atom: int, observed: int, adopted: int) -> bool:
-        """Posterior >= 1/2 given the own atom and that adopted of the
-        observed neighbors adopted before the decision period."""
-        key = (atom, observed, adopted)
-        verdict = self._table.get(key)
-        if verdict is None:
-            p_high, p_low = self._indicator
-            lh, ll = self.model.atoms[atom]
-            stayed = observed - adopted
-            odds_h = lh * p_high ** adopted * (1 - p_high) ** stayed
-            odds_l = ll * p_low ** adopted * (1 - p_low) ** stayed
-            verdict = self._table[key] = odds_h >= odds_l
-        return verdict
-
     def adopt_probability(self, ctx):
         if ctx.period != self.period:
             return Fraction(0)
         view = ctx.times
         adopted = len(view.adopted_before(ctx.period))
-        return (Fraction(1) if self._adopts(ctx.atom, len(view.neighbors), adopted)
-                else Fraction(0))
+        stayed = len(view.neighbors) - adopted
+        p_high, p_low = self._indicator
+        lh, ll = self.model.atoms[ctx.atom]
+        odds_h = lh * p_high ** adopted * (1 - p_high) ** stayed
+        odds_l = ll * p_low ** adopted * (1 - p_low) ** stayed
+        return Fraction(1) if odds_h >= odds_l else Fraction(0)
+
+    def decision_key(self, network, agent, times):
+        """key(t, atom) = (t, atom, observed count, adopted before t): no
+        agent id, so every agent holding this strategy shares answers."""
+        observed = len(times.neighbors)
+        return lambda t, atom: (t, atom, observed, len(times.adopted_before(t)))
 
 
 def strategy_from_spec(spec, model, delta=None):
@@ -483,7 +477,7 @@ def strategy_from_spec(spec, model, delta=None):
     Accepts "myopic", {"sigma": {"eta": ..., "k": ..., ...}},
     {"aux": {"family": ..., "r": ..., "delta": ...}},
     {"center_bayes": {"period": ...}} or
-    {"threshold_table_text": "..."} (the CLI resolves file paths to text).
+    {"threshold_table_text": "..."}.
     """
     if spec == "myopic" or spec == {"myopic": {}}:
         return myopic_rule(model)

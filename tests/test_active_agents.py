@@ -2,20 +2,22 @@
 once; nothing else changes.
 
 run_profile skips agents past their declared spontaneous_until and
-max_reaction_lag, and CenterBayesRule answers from an exact table.  The
-reference loop below asks every remaining agent in every period and stops
-only when none of them can act.  Runs that share one _RunPlan (estimate's
-replications) file each answer in a memo and reuse it: while none of an
-agent's observed agents has adopted, under (agent, period, atom); after
-that, under the key the strategy's decision_key gives, shared by all
-agents that hold one strategy object (ProtocolSigma gives one; the other
-rules are asked at every such decision).  The second reference below is
-the loop that asked every active agent afresh in every run.  All must
-give the same trace, and consume the same random draws, for every
-replication.
+max_reaction_lag.  The reference loop below asks every remaining agent in
+every period and stops only when none of them can act.  Runs that share
+one _RunPlan (estimate's replications) keep one answer dict per strategy
+object, shared by the agents that hold it, and reuse what it holds: while
+none of an agent's observed agents has adopted, the answer is filed under
+(agent, period, atom) packed into one int; after that, under the tuple the
+strategy's decision_key gives.  ProtocolSigma keys on (period, atom,
+earliest side adoption) and CenterBayesRule on (period, atom, observed
+count, adopted count); the other rules are asked at every such decision.
+The second reference below is the loop that asked every active agent
+afresh in every run.  All must give the same trace, and consume the same
+random draws, for every replication.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -223,14 +225,66 @@ def test_runs_sharing_one_plan_match_asking_every_run(case, horizon, seed):
         expected = ask_active_run(network, model, strategies, horizon, ref_rng)
         assert trace == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # At most one quiet answer per (agent, period, atom); after a cue, only
-    # ProtocolSigma files answers: per (period, atom, earliest side
-    # adoption or NEVER), in one dict per strategy object.
-    assert len(plan.quiet) <= network.n * periods * model.n_atoms
-    owners = {id(s): s for s in strategies}
-    for owner, memo in plan.by_strategy.items():
-        assert isinstance(owners[owner], ProtocolSigma)
-        assert len(memo) <= periods * model.n_atoms * periods
+    # One answer dict per strategy object, named for every agent holding it.
+    holders = {}
+    for i, s in enumerate(strategies):
+        holders.setdefault(id(s), []).append(i)
+    for agents in holders.values():
+        assert all(plan.memos[i] is plan.memos[agents[0]] for i in agents)
+    assert len({id(m) for m in plan.memos}) == len(holders)
+    quiet = 0
+    for agents in holders.values():
+        strategy, memo = strategies[agents[0]], plan.memos[agents[0]]
+        keyed = [key for key in memo if isinstance(key, tuple)]
+        quiet += len(memo) - len(keyed)
+        # After a cue, only keyed rules file answers: ProtocolSigma per
+        # (period, atom, earliest side adoption or NEVER), CenterBayesRule
+        # per (period, atom, observed count, adopted count).
+        if isinstance(strategy, ProtocolSigma):
+            assert len(keyed) <= periods * model.n_atoms * periods
+        elif isinstance(strategy, CenterBayesRule):
+            assert len(keyed) <= (len(agents) * periods * model.n_atoms
+                                  * network.n)
+        else:
+            assert not keyed
+    # At most one quiet answer per (agent, period, atom), all told.
+    assert quiet <= network.n * periods * model.n_atoms
+
+
+@st.composite
+def keyed_strategies(draw):
+    network = draw(networks())
+    model = draw(st.sampled_from((BINARY, GRID)))
+    if draw(st.booleans()):
+        strategy = ProtocolSigma(
+            eta=Fraction(1, 4), k=draw(st.sampled_from((3, 4))),
+            orientation=draw(st.sampled_from(("both", "ltr", "rtl"))))
+    else:
+        strategy = CenterBayesRule(model=model, period=draw(st.integers(0, 3)))
+    return network, model, strategy
+
+
+# Periods and adoption times are kept small, so that many of the drawn
+# decisions share a key; decode (period k * k) is still reached for k = 3.
+@settings(max_examples=150, deadline=None)
+@given(keyed_strategies(), st.integers(0, 2**32 - 1))
+def test_equal_decision_keys_give_equal_answers(case, seed):
+    network, model, strategy = case
+    rnd = random.Random(seed)
+    answers = {}
+    for _ in range(200):
+        agent = rnd.randrange(network.n)
+        times = [rnd.choice((NEVER, rnd.randrange(11))) for _ in network.agents]
+        t, atom = rnd.randrange(12), rnd.randrange(model.n_atoms)
+        view = NeighborTimes(network.out_neighbors(agent), times)
+        keyer = strategy.decision_key(network, agent, view)
+        if keyer is None:  # off a line: ProtocolSigma gives no key
+            assert isinstance(strategy, ProtocolSigma)
+            continue
+        p = strategy.adopt_probability(DecisionContext(
+            agent=agent, period=t, atom=atom, belief=model.beliefs[atom],
+            times=view, network=network))
+        assert answers.setdefault(keyer(t, atom), p) == p
 
 
 def _outcome(run, *args, **kwargs):
@@ -285,13 +339,21 @@ def _product_table(model, atom, max_observed):
 
 
 def test_center_bayes_table_equals_the_direct_product():
+    # The table of answers over every atom, observed count up to 100 and
+    # adopted count: each is the direct product's verdict, and each decision
+    # has its own key.
     for model in (BINARY, GRID):
         rule = CenterBayesRule(model=model, period=1)
         for atom in range(model.n_atoms):
             rows = _product_table(model, atom, 100)
             for observed in range(101):
                 for adopted in range(observed + 1):
+                    times = [0] * adopted + [NEVER] * (observed - adopted)
+                    view = NeighborTimes(tuple(range(observed)), times)
                     h, l = rows[observed][adopted]
-                    assert rule._adopts(atom, observed, adopted) == (h >= l), (
-                        atom, observed, adopted)
-        assert len(rule._table) == model.n_atoms * 101 * 102 // 2
+                    p = rule.adopt_probability(DecisionContext(
+                        agent=observed, period=1, atom=atom,
+                        belief=model.beliefs[atom], times=view, network=None))
+                    assert p == (1 if h >= l else 0), (atom, observed, adopted)
+                    key = rule.decision_key(None, observed, view)(1, atom)
+                    assert key == (1, atom, observed, adopted)

@@ -429,6 +429,27 @@ def test_simulate_verify_skips_over_the_scenario_budget(tmp_path, monkeypatch):
     assert report["ok"] is True
 
 
+@pytest.mark.parametrize("kind", ["solve", "simulate"])
+def test_a_solve_over_the_scenario_budget_names_its_fields(tmp_path, capsys,
+                                                          monkeypatch, kind):
+    from netadopt import cli
+    from netadopt.solver import ScenarioBudgetError
+
+    def over_budget(*args):
+        raise ScenarioBudgetError("262144 live states at period 1 exceed "
+                                  "the 200000 scenario budget")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", over_budget)
+    payload = simulate_config(seed=8)
+    payload.update(kind=kind, strategy="solve")
+    if kind == "solve":
+        del payload["strategy"], payload["replications"]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run(cfg, out=tmp_path / "out") == 2
+    assert ("error: network, horizon: 262144 live states at period 1 exceed "
+            "the 200000 scenario budget") in capsys.readouterr().err
+
+
 def test_strategy_list_must_match_agent_count(tmp_path, capsys):
     payload = simulate_config()
     payload["strategy"] = ["myopic", "myopic"]

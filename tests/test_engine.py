@@ -1,5 +1,8 @@
 import math
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from netadopt.engine import (
 from netadopt.networks import build_line, build_star
 from netadopt.signals import binary_model, sample_atoms
 from netadopt.strategies import (CenterBayesRule, FollowRule, ProtocolSigma,
-                                 Strategy, myopic_rule)
+                                 Strategy, ThresholdRule, myopic_rule)
 
 Q = Fraction(3, 4)
 MODEL = binary_model(Q)
@@ -129,17 +132,20 @@ def test_estimate_jobs_merge_with_late_adopter():
         assert abs(u1 - u2) <= 1e-12
 
 
-def test_estimate_caps_workers_at_the_cpu_count(monkeypatch):
-    # A fake pool records its size and maps in-process: no process starts.
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Replace the process pool by one that maps in-process, so no process
+    starts.  Returns a namespace: made lists the pools, each with its size
+    and shards; set error to make map raise it, as a broken pool does."""
     from netadopt import engine
 
-    pools = []
+    log = SimpleNamespace(made=[], error=None)
 
     class FakePool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.shards = []
-            pools.append(self)
+            log.made.append(self)
 
         def __enter__(self):
             return self
@@ -148,21 +154,78 @@ def test_estimate_caps_workers_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, args):
+            if log.error is not None:
+                raise log.error
             self.shards += args
             return map(fn, args)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    return log
+
+
+def test_estimate_caps_workers_at_the_cpu_count(fake_pools, monkeypatch):
+    from netadopt import engine
+
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     net = build_line(3)
     kwargs = dict(horizon=4, delta=0.9, n_reps=40, seed=7)
     many = estimate(net, MODEL, myopic_rule(MODEL), jobs=1000, **kwargs)
-    (pool,) = pools
+    (pool,) = fake_pools.made
     assert pool.max_workers == 3
     assert len(pool.shards) == 40  # the shard split still follows jobs
     assert many.p_hat == estimate(net, MODEL, myopic_rule(MODEL), **kwargs).p_hat
     monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
     estimate(net, MODEL, myopic_rule(MODEL), jobs=4, **kwargs)
-    assert pools[-1].max_workers == 1
+    assert fake_pools.made[-1].max_workers == 1
+
+
+class _FailingRule(Strategy):
+    """Raises at its first decision, as a misconfigured strategy does."""
+
+    def adopt_probability(self, ctx):
+        raise ValueError("strategy failed inside a shard")
+
+
+def test_a_shard_error_propagates_without_a_sequential_rerun(fake_pools,
+                                                             monkeypatch):
+    from netadopt import engine
+
+    shards_run = []
+    run_shard = engine._estimate_shard
+    monkeypatch.setattr(engine, "_estimate_shard",
+                        lambda packed: shards_run.append(packed) or run_shard(packed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "running sequentially"
+        with pytest.raises(ValueError, match="failed inside a shard"):
+            estimate(build_line(3), MODEL, _FailingRule(), horizon=2,
+                     delta=0.9, n_reps=10, seed=1, jobs=2)
+    assert len(fake_pools.made) == 1
+    assert len(shards_run) == 1  # the first shard failed; nothing reran
+
+
+def test_a_broken_pool_falls_back_to_running_the_shards_here(fake_pools):
+    net = build_line(3)
+    kwargs = dict(horizon=4, delta=0.9, n_reps=40, seed=7)
+    expected = estimate(net, MODEL, myopic_rule(MODEL), **kwargs)
+    for error in (BrokenProcessPool("a worker died"), OSError("no semaphores")):
+        fake_pools.error = error
+        with pytest.warns(UserWarning, match=f"{error}.*running sequentially"):
+            got = estimate(net, MODEL, myopic_rule(MODEL), jobs=2, **kwargs)
+        assert got == expected
+    assert len(fake_pools.made) == 2
+
+
+def test_unpicklable_shards_run_here_without_a_pool(fake_pools):
+    class LocalRule(ThresholdRule):  # a local class does not pickle
+        pass
+
+    net = build_line(3)
+    kwargs = dict(horizon=4, delta=0.9, n_reps=40, seed=7)
+    local = LocalRule(entries=myopic_rule(MODEL).entries)
+    with pytest.warns(UserWarning, match="running sequentially"):
+        got = estimate(net, MODEL, local, jobs=2, **kwargs)
+    assert got == estimate(net, MODEL, myopic_rule(MODEL), **kwargs)
+    assert fake_pools.made == []
 
 
 def test_estimate_accepts_fraction_string_delta():
@@ -303,10 +366,13 @@ def test_sigma_ring_matches_engine():
         engine_times = np.array(
             [math.inf if is_never(t) else float(t) for t in trace.times])
         assert np.array_equal(engine_times, closed), f"rep {rep} diverged"
-    # every agent holds proto, so all share one memo, and it holds answers
-    # from the decode stage (period k * k) and the spread stage after it
-    (memo,) = plan.by_strategy.values()
-    assert {k * k, k * k + 1} <= {key[0] for key in memo}
+    # every agent holds proto, so all share one answer dict, and its keyed
+    # answers come from the decode stage (period k * k) and the spread
+    # stage after it as well (quiet answers sit under ints beside them)
+    memo = plan.memos[0]
+    assert all(m is memo for m in plan.memos)
+    assert {k * k, k * k + 1} <= {key[0] for key in memo
+                                  if isinstance(key, tuple)}
 
 
 def test_sigma_ring_estimate_deterministic():

@@ -84,3 +84,28 @@ def test_deterministic_and_serializable():
     assert parsed["ok"] is True
     assert parsed["watcher_adopts_at"] == 3
     assert parsed["role_times"]["B"] == 1
+
+
+def test_deferring_rule_adopts_at_period_one_on_a_majority():
+    # Own signal and the two anchors' period-0 actions: adopt at period 1
+    # exactly when at least two of the three are high, and never at any
+    # other period, for every anchor outcome and every atom.
+    from netadopt.common import NEVER
+    from netadopt.engine import DecisionContext, NeighborTimes
+    from netadopt.signals import binary_model
+    from netadopt.solver import _defer_majority_rule
+
+    model = binary_model(Q)
+    rule = _defer_majority_rule((3, 5))
+    for t1 in (0, NEVER):
+        for t2 in (0, NEVER):
+            times = [NEVER] * 6
+            times[3], times[5] = t1, t2
+            view = NeighborTimes((3, 5), times)
+            for atom, belief in enumerate(model.beliefs):
+                high = (t1 == 0) + (t2 == 0) + (belief >= Fraction(1, 2))
+                for t in range(4):
+                    p = rule.adopt_probability(DecisionContext(
+                        agent=0, period=t, atom=atom, belief=belief,
+                        times=view, network=None))
+                    assert p == (t == 1 and high >= 2), (t1, t2, atom, t)
