@@ -29,6 +29,7 @@ from .signals import SignalModel, binary_model, sample_atoms
 from .strategies import _check_protocol_k
 
 _LLR_CLAMP = math.log(1e9)
+_QUIET = object()  # the history part of an agent that has had no cue
 
 
 class NeighborTimes:
@@ -102,59 +103,52 @@ def _normalize_profile(network, profile) -> list:
     return strategies
 
 
-def _active_agents(remaining, t, spont, lag, last_cue) -> list:
-    """The remaining agents that may still adopt at period t, in order.
-
-    spont, lag and last_cue are indexed by agent: each strategy's declared
-    spontaneous_until and max_reaction_lag, and the latest adoption period
-    among the agents it observes (-inf before any).  Any other agent would
-    answer 0 now, and stays inactive until a neighbor adopts; when none is
-    active the run is quiescent.
-    """
-    return [i for i in remaining
-            if spont[i] >= t or lag[i] is None or last_cue[i] + lag[i] >= t]
+def _deadline(spont, lag, cue) -> float:
+    """Last period an agent may adopt in: max(spont, cue + lag), inf if lag is
+    None, from its strategy's spontaneous_until and max_reaction_lag and the
+    latest adoption cue among the agents it observes (-inf before any)."""
+    return math.inf if lag is None else max(spont, cue + lag)
 
 
-def _record_adoptions(network, times, last_cue, adopting, t) -> None:
-    """Record the period-t adoptions in times and in last_cue.
-
-    last_cue[w] becomes t for every agent w that observes an adopter.
-    """
+def _record_adoptions(network, times, deadline, spont, lag, adopting, t) -> set:
+    """Record the period-t adoptions in times; return the agents they cue,
+    the non-adopters observing one, with deadlines moved to cue t."""
     for i in adopting:
         times[i] = t
-        for watcher in network.in_neighbors(i):
-            if t > last_cue[watcher]:
-                last_cue[watcher] = t
+    cued = {w for i in adopting for w in network.in_neighbors(i) if times[w] == NEVER}
+    for w in cued:
+        deadline[w] = _deadline(spont[w], lag[w], t)
+    return cued
 
 
 class _RunPlan:
     """What every run of one profile on one network and model shares.
 
-    Strategies, activity limits, one times list that each run resets, each
-    agent's view of it and decision key function, and the answer memo: one
-    dict per strategy object, which memos[i] names for every agent i that
-    holds it.  While no agent an agent observes has adopted, the strategy
-    sees the history (t, ()) and nothing else that differs between runs, so
-    its answer is filed under (agent, period, atom) packed into one int.
-    After that it is filed under the tuple its decision_key gives, which
-    captures all the answer reads; without a key it is asked every time.
-    """
+    Strategies, activity limits and deadlines before any cue, one times list
+    that each run resets, each agent's view of it and history function (see
+    Strategy.decision_key), and one answer memo per strategy object, which
+    memos[i] names for every agent i that holds it.  Before any agent an
+    agent observes adopts, its answer is filed under (agent, period, atom)
+    packed into one int; after, under (period, atom, history part), or not
+    at all without a history function."""
 
-    __slots__ = ("network", "strategies", "spont", "lag", "beliefs",
-                 "float_beliefs", "times", "views", "keys", "memos")
+    __slots__ = ("network", "strategies", "spont", "lag", "deadlines", "beliefs",
+                 "float_beliefs", "times", "views", "histories", "memos")
 
     def __init__(self, network, model: SignalModel, profile):
         self.network = network
         self.strategies = _normalize_profile(network, profile)
         self.spont = [s.spontaneous_until for s in self.strategies]
         self.lag = [s.max_reaction_lag for s in self.strategies]
+        self.deadlines = [_deadline(self.spont[i], self.lag[i], -math.inf)
+                          for i in network.agents]
         self.beliefs = model.beliefs
         self.float_beliefs = tuple(float(b) for b in self.beliefs)
         self.times = [NEVER] * network.n
         self.views = [NeighborTimes(network.out_neighbors(i), self.times)
                       for i in network.agents]
-        self.keys = [s.decision_key(network, i, self.views[i])
-                     for i, s in enumerate(self.strategies)]
+        self.histories = [s.decision_key(network, i, self.views[i])
+                          for i, s in enumerate(self.strategies)]
         shared = {}
         self.memos = [shared.setdefault(id(s), {}) for s in self.strategies]
 
@@ -177,13 +171,14 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
     and designated-realization replays; otherwise the state is drawn
     uniformly and atoms i.i.d. from the model given the state.
 
-    In each period only the agents that can still act are asked (see
-    _active_agents).  Each answer is filed in the memo of _plan under its
-    decision key (see _RunPlan), and a later decision with the same key, in
-    this run or another that shares _plan (same network, model and
-    profile), reuses it; estimate shares one across its replications.  A
-    mixing answer draws one uniform from rng, in agent order, whether it
-    was asked or reused.
+    Each period asks, in id order, the agents on the awake list whose
+    deadline (see _deadline) has not passed; the next list is those agents
+    and the ones just cued, less the adopters.  A cued agent's history part
+    is read once per period, after the period's adoptions are recorded.
+    Answers are filed in the memo of _plan (see _RunPlan) and reused in any
+    run sharing it (same network, model and profile; estimate shares one
+    per shard).  A mixing answer draws one uniform from rng, in agent
+    order, whether it was asked or reused.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -204,15 +199,16 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
 
     times = plan.times
     times[:] = [NEVER] * n
-    spont, lag, keys, memos = plan.spont, plan.lag, plan.keys, plan.memos
+    spont, lag, histories, memos = plan.spont, plan.lag, plan.histories, plan.memos
     n_atoms = model.n_atoms
-    no_cue = -math.inf
-    last_cue = [no_cue] * n  # latest adoption among observed agents
-    remaining = list(network.agents)
+    deadline = list(plan.deadlines)
+    history = [_QUIET] * n
+    awake = list(network.agents)
+    remaining = n
     quiescent_at = None
 
     for t in range(horizon + 1):
-        active = _active_agents(remaining, t, spont, lag, last_cue)
+        active = [i for i in awake if deadline[i] >= t]
         if not active:
             if remaining:
                 quiescent_at = t
@@ -220,11 +216,11 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
         adopting = []
         for i in active:
             atom = atoms[i]
-            if last_cue[i] == no_cue:
-                # (agent, period, atom) packed into one int
+            h = history[i]
+            if h is _QUIET:  # (agent, period, atom) packed into one int
                 key = (t * n + i) * n_atoms + atom
             else:
-                key = keys[i] and keys[i](t, atom)
+                key = None if h is None else (t, atom, h)
             if key is None:
                 verdict = plan.decide(i, t, atom)
             else:
@@ -234,9 +230,14 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
             if verdict is True or (verdict is not False
                                    and rng.random() < verdict):
                 adopting.append(i)
-        _record_adoptions(network, times, last_cue, adopting, t)
         if adopting:
-            remaining = [i for i in remaining if times[i] == NEVER]
+            remaining -= len(adopting)
+            cued = _record_adoptions(network, times, deadline, spont, lag,
+                                     adopting, t)
+            for w in cued:
+                history[w] = histories[w] and histories[w]()
+            active = sorted(cued.union(active).difference(adopting))
+        awake = active
 
     truncated = bool(remaining) and quiescent_at is None
     return ActionTrace(

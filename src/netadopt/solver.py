@@ -36,7 +36,7 @@ from .common import (
 from .engine import (
     DecisionContext,
     NeighborTimes,
-    _active_agents,
+    _deadline,
     _normalize_profile,
     _record_adoptions,
     run_profile,
@@ -118,9 +118,10 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
     the light cone's size, with likelihoods scaled to integers: an agent's
     factors p * mass(sub) / mass(mask) telescope, so a numerator holds the
     mixing factors and the masses of the agents that adopted or expired,
-    and open masks are multiplied in when a weight is read.  Returns
-    (finished, tree, den): the numerators of each run by time vector and,
-    when an agent is frozen, of each history key (t, pairs), t <= horizon.
+    and open masks are multiplied in when a weight is read.  A state also
+    carries the deadlines (engine._deadline), which its times determine.
+    Returns (finished, tree, den): the numerators of each run by time vector
+    and, when an agent is frozen, of each history key (t, pairs), t <= horizon.
     """
     strategies = _normalize_profile(network, profile)
     agents, beliefs = network.agents, model.beliefs
@@ -181,14 +182,14 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
     watched = None if frozen is None else network.out_neighbors(frozen)
     memo = {}
     finished, tree = {}, {}
-    states = {((NEVER,) * network.n, masks): [1, 1, [-math.inf] * network.n]}
+    deadlines = [_deadline(spont[i], lag[i], -math.inf) for i in agents]
+    states = {((NEVER,) * network.n, masks): [1, 1, deadlines]}
     t = 0
     while states:
         following = {}
         expiring = [i for i in agents if last[i] == t]
-        for (times, masks), (num_high, num_low, last_cue) in states.items():
-            active = _active_agents([i for i in agents if masks[i]], t, spont,
-                                    lag, last_cue)
+        for (times, masks), (num_high, num_low, deadline) in states.items():
+            active = [i for i in agents if masks[i] and deadline[i] >= t]
             if not active or watched is not None:
                 open_high, open_low = open_mass(masks)
                 w = (num_high * open_high, num_low * open_low)
@@ -225,18 +226,20 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
                 new_masks = [0 if last[i] == t else m for i, m in enumerate(masks)]
                 for i, _, kept in picks:
                     new_masks[i] = kept
-                new_times, new_cue = times, last_cue
-                if any(adopt for _, adopt, _ in picks):
-                    new_times, new_cue = list(times), list(last_cue)
-                    _record_adoptions(network, new_times, new_cue,
-                                      [i for i, adopt, _ in picks if adopt], t)
+                new_times, new_deadline = times, deadline
+                adopters = [i for i, adopt, _ in picks if adopt]
+                if adopters:
+                    new_times, new_deadline = list(times), list(deadline)
+                    _record_adoptions(network, new_times, new_deadline, spont,
+                                      lag, adopters, t)
                     new_times = tuple(new_times)
                 key = (new_times, tuple(new_masks))
                 if key in following:
                     following[key][0] += num_high * b_high
                     following[key][1] += num_low * b_low
                 else:
-                    following[key] = [num_high * b_high, num_low * b_low, new_cue]
+                    following[key] = [num_high * b_high, num_low * b_low,
+                                      new_deadline]
                     check_budget(len(following), t + 1)
         states = following
         t += 1
@@ -435,7 +438,7 @@ def verify_structure(network, model: SignalModel, profile,
                     f"threshold-form: agent {i} at {key} has adoption "
                     f"probabilities {[float(p) for p in row]} in belief order")
             cue = max((tau for _, tau in pairs), default=-math.inf)
-            if not _active_agents((i,), t, spont, lag, {i: cue}):
+            if _deadline(spont[i], lag[i], cue) < t:
                 continue  # the agent is not asked, so it stays out
             not_yet[key] = [a * (1 - p) for a, p in zip(alive, probs)]
             p_high = sum(rh * p for (rh, _), p in zip(reach, probs))

@@ -5,17 +5,17 @@ A strategy answers adopt_probability(ctx) with the chance it adopts in the
 current period, given its own belief and the adoption times of observed
 neighbors strictly before the period.  Strategies are immutable and
 stateless: an answer depends only on the parameters and the context, so
-the engine reuses it for any decision with an equal key (decision_key).
-Two declared attributes decide which agents the engine and the solver ask
-in each period, and when a run ends:
+the engine reuses it for any decision with an equal (period, atom, history
+part) key (decision_key).  Two declared attributes decide which agents the
+engine and the solver ask in each period, and when a run ends:
 
 - spontaneous_until: last period the strategy might adopt with no neighbor
   having adopted (-1 if it never adopts unprompted).
 - max_reaction_lag: latest adoption is (last neighbor adoption) + lag;
   None if unbounded.
 
-An agent past both limits is not asked at all, so a strategy that
-under-declares them is skipped in periods where it would have adopted.
+An agent past both limits (its deadline) is not asked at all, so a strategy
+that under-declares them is skipped in periods where it would have adopted.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ class Strategy:
         raise NotImplementedError
 
     def decision_key(self, network, agent, times):
-        """A function key(period, atom) for agent's decisions after an agent
-        it observes has adopted, or None (the default) to be asked at each.
-        times is agent's view.  Equal keys must get equal answers.  Agents
-        holding one strategy object share one answer dict (quiet answers sit
-        there under ints), so a key is a tuple that holds the agent when the
+        """A function history() for agent's decisions once an agent it
+        observes has adopted, or None (the default) to be asked at each.
+        times is agent's view; history() is read after each period with an
+        observed adoption, so every adoption it sees precedes the periods it
+        serves.  Equal (period, atom, history()) must get equal answers, for
+        every agent holding this object: history() holds the agent if the
         answer depends on it."""
         return None
 
@@ -274,12 +275,12 @@ class ProtocolSigma(Strategy):
     def max_reaction_lag(self) -> int:
         return self.k + 1
 
-    def _key(self, network, agent, times):
-        """key(t, atom) = (t, atom, earliest adoption before t among the
-        line neighbors agent reacts to, NEVER if none); the answer reads
-        nothing else.  Raises unless agent sits on a labeled line or ring."""
+    def _sides(self, network, agent, times):
+        """history() = earliest adoption among the line sides agent reacts to,
+        NEVER if none.  Raises unless agent sits on a labeled line or ring
+        (of 3 or more agents: a line of 2 is not a ring)."""
         n = network.n
-        ring = (0, n - 1) in network.edges or (n - 1, 0) in network.edges
+        ring = n >= 3 and not {(0, n - 1), (n - 1, 0)}.isdisjoint(network.edges)
         left = (agent - 1) % n if ring else agent - 1
         right = (agent + 1) % n if ring else agent + 1
         neighbors = times.neighbors
@@ -291,25 +292,23 @@ class ProtocolSigma(Strategy):
         sides = {"both": (left, right), "ltr": (left,), "rtl": (right,)}
         sides = [j for j in sides[self.orientation] if j in neighbors]
         if not sides:
-            return lambda t, atom: (t, atom, NEVER)
+            return lambda: NEVER
         a, b = sides[0], sides[-1]  # the same agent when there is one side
-        def key(t, atom):
-            tau_u = min(times[a], times[b])
-            return (t, atom, tau_u if tau_u < t else NEVER)
-        return key
+        return lambda: min(times[a], times[b])
 
     def adopt_probability(self, ctx):
         if ctx.period == 0:
             return self.eta
-        _, _, tau_u = self._key(ctx.network, ctx.agent, ctx.times)(ctx.period, ctx.atom)
+        tau_u = self._sides(ctx.network, ctx.agent, ctx.times)()
         x = 1 if as_fraction(ctx.belief) >= HALF else 0
-        my_tau = sigma_eta_k_step(tau_u, self.k, x, self.mid)
+        my_tau = sigma_eta_k_step(tau_u if tau_u < ctx.period else NEVER,
+                                  self.k, x, self.mid)
         return Fraction(1) if ctx.period == my_tau else Fraction(0)
 
     def decision_key(self, network, agent, times):
-        """No agent id: every agent holding this strategy shares answers."""
+        """history() is the earliest side adoption (see _sides)."""
         try:
-            return self._key(network, agent, times)
+            return self._sides(network, agent, times)
         except ValueError:  # adopt_probability raises it at the decision
             return None
 
@@ -465,10 +464,9 @@ class CenterBayesRule(Strategy):
         return Fraction(1) if odds_h >= odds_l else Fraction(0)
 
     def decision_key(self, network, agent, times):
-        """key(t, atom) = (t, atom, observed count, adopted before t): no
-        agent id, so every agent holding this strategy shares answers."""
+        """history() = (observed count, adopted count), no agent id."""
         observed = len(times.neighbors)
-        return lambda t, atom: (t, atom, observed, len(times.adopted_before(t)))
+        return lambda: (observed, len(times.adopted_before(NEVER)))
 
 
 def strategy_from_spec(spec, model, delta=None):

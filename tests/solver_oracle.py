@@ -4,7 +4,9 @@ enumerate_scenarios_oracle lists every run with Fraction weights, applying
 each split's factor p * P(atom in sub | atom in mask) as it is made.
 history_tree_oracle then keys every run at every period up to the horizon.
 The one-pass expansion in solver.py must give the same trees, runs and
-budget errors.
+budget errors.  active_agents and record_adoptions are the activity rule
+and the adoption update written out here, so that the oracle shares no
+helper with the code it checks.
 """
 
 import functools
@@ -13,13 +15,29 @@ from fractions import Fraction
 
 from netadopt.bounds import _reachable_within
 from netadopt.common import NEVER, as_fraction
-from netadopt.engine import (DecisionContext, NeighborTimes, _active_agents,
-                             _normalize_profile, _record_adoptions)
+from netadopt.engine import DecisionContext, NeighborTimes, _normalize_profile
 from netadopt.solver import Scenario, ScenarioBudgetError
 from netadopt.strategies import canonical_history
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def active_agents(remaining, t, spont, lag, last_cue) -> list:
+    """The remaining agents that may still adopt at period t, in order:
+    within spontaneous_until, without a reaction lag, or within the lag of
+    the latest adoption among the agents they observe (last_cue)."""
+    return [i for i in remaining
+            if spont[i] >= t or lag[i] is None or last_cue[i] + lag[i] >= t]
+
+
+def record_adoptions(network, times, last_cue, adopting, t) -> None:
+    """Set times[i] = t for each adopter and last_cue[w] = t for each agent
+    w that observes one."""
+    for i in adopting:
+        times[i] = t
+        for watcher in network.in_neighbors(i):
+            last_cue[watcher] = max(last_cue[watcher], t)
 
 
 def enumerate_scenarios_oracle(network, model, profile, horizon, frozen=None,
@@ -57,8 +75,8 @@ def enumerate_scenarios_oracle(network, model, profile, horizon, frozen=None,
     while states:
         following = {}
         for (times, masks), (w_high, w_low, last_cue) in states.items():
-            active = _active_agents([i for i in network.agents if masks[i]],
-                                    t, spont, lag, last_cue)
+            active = active_agents([i for i in network.agents if masks[i]],
+                                   t, spont, lag, last_cue)
             if not active:
                 total = finished.setdefault(times, [ZERO, ZERO])
                 total[0] += w_high
@@ -99,8 +117,8 @@ def enumerate_scenarios_oracle(network, model, profile, horizon, frozen=None,
                 for i, _, kept in picks:
                     new_masks[i] = kept
                 new_times, new_cue = list(times), list(last_cue)
-                _record_adoptions(network, new_times, new_cue,
-                                  [i for i, adopt, _ in picks if adopt], t)
+                record_adoptions(network, new_times, new_cue,
+                                 [i for i, adopt, _ in picks if adopt], t)
                 key = (tuple(new_times), tuple(new_masks))
                 if key in following:
                     following[key][0] += b_high

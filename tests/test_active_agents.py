@@ -1,37 +1,43 @@
 """The engine asks only agents that can still act, each distinct decision
 once; nothing else changes.
 
-run_profile skips agents past their declared spontaneous_until and
-max_reaction_lag.  The reference loop below asks every remaining agent in
+An agent can act at period t while t is at most its deadline,
+max(spontaneous_until, latest observed adoption + max_reaction_lag), with
+no deadline when the lag is None.  run_profile keeps each deadline as
+adoptions happen and asks only the agents on its awake list whose deadline
+has not passed.  The reference loop below asks every remaining agent in
 every period and stops only when none of them can act.  Runs that share
 one _RunPlan (estimate's replications) keep one answer dict per strategy
 object, shared by the agents that hold it, and reuse what it holds: while
 none of an agent's observed agents has adopted, the answer is filed under
-(agent, period, atom) packed into one int; after that, under the tuple the
-strategy's decision_key gives.  ProtocolSigma keys on (period, atom,
-earliest side adoption) and CenterBayesRule on (period, atom, observed
-count, adopted count); the other rules are asked at every such decision.
-The second reference below is the loop that asked every active agent
-afresh in every run.  All must give the same trace, and consume the same
-random draws, for every replication.
+(agent, period, atom) packed into one int; after that, under (period,
+atom, history part), the history part read through the function that the
+strategy's decision_key returns, once per period with an observed adoption.
+ProtocolSigma's history part is the earliest side adoption and
+CenterBayesRule's is (observed count, adopted count); the other rules are
+asked at every such decision.  The second reference below is the loop
+that asked every active agent afresh in every run, with the activity rule
+above and the adoption update written out in it.  All must give the same
+trace, and consume the same random draws, for every replication.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netadopt.common import NEVER, STATE_HIGH, STATE_LOW, is_never
 from netadopt.engine import (ActionTrace, DecisionContext, NeighborTimes,
-                             _active_agents, _record_adoptions, _RunPlan,
-                             _replication_rng, run_profile)
+                             _RunPlan, _replication_rng, run_profile,
+                             sigma_ring_times)
 from netadopt.networks import Network, build_line, build_star
 from netadopt.signals import binary_model, grid_model, sample_atoms
 from netadopt.strategies import (AuxRootRule, CenterBayesRule, FollowRule,
                                  ProtocolSigma, RootStrategySpec,
-                                 ThresholdRule)
+                                 ThresholdRule, strategy_from_spec)
 
 BINARY = binary_model(Fraction(3, 4))
 GRID = grid_model(5)
@@ -93,7 +99,9 @@ def ask_active_run(network, model, strategies, horizon, rng):
     remaining = list(network.agents)
     quiescent_at = None
     for t in range(horizon + 1):
-        active = _active_agents(remaining, t, spont, lag, last_cue)
+        active = [i for i in remaining
+                  if spont[i] >= t or lag[i] is None
+                  or last_cue[i] + lag[i] >= t]
         if not active:
             if remaining:
                 quiescent_at = t
@@ -109,9 +117,11 @@ def ask_active_run(network, model, strategies, horizon, rng):
             elif p != 0:
                 if rng.random() < float(p):
                     adopting.append(i)
-        _record_adoptions(network, times, last_cue, adopting, t)
-        if adopting:
-            remaining = [i for i in remaining if is_never(times[i])]
+        for i in adopting:
+            times[i] = t
+            for watcher in network.in_neighbors(i):
+                last_cue[watcher] = max(last_cue[watcher], t)
+        remaining = [i for i in remaining if is_never(times[i])]
     return ActionTrace(
         times=tuple(times), horizon=horizon, state=state, atoms=tuple(atoms),
         beliefs=tuple(float(model.beliefs[a]) for a in atoms),
@@ -239,7 +249,7 @@ def test_runs_sharing_one_plan_match_asking_every_run(case, horizon, seed):
         quiet += len(memo) - len(keyed)
         # After a cue, only keyed rules file answers: ProtocolSigma per
         # (period, atom, earliest side adoption or NEVER), CenterBayesRule
-        # per (period, atom, observed count, adopted count).
+        # per (period, atom, (observed count, adopted count)).
         if isinstance(strategy, ProtocolSigma):
             assert len(keyed) <= periods * model.n_atoms * periods
         elif isinstance(strategy, CenterBayesRule):
@@ -266,6 +276,8 @@ def keyed_strategies(draw):
 
 # Periods and adoption times are kept small, so that many of the drawn
 # decisions share a key; decode (period k * k) is still reached for k = 3.
+# As in the engine, every adoption the history part reads is before the
+# period of the decision.
 @settings(max_examples=150, deadline=None)
 @given(keyed_strategies(), st.integers(0, 2**32 - 1))
 def test_equal_decision_keys_give_equal_answers(case, seed):
@@ -274,17 +286,18 @@ def test_equal_decision_keys_give_equal_answers(case, seed):
     answers = {}
     for _ in range(200):
         agent = rnd.randrange(network.n)
-        times = [rnd.choice((NEVER, rnd.randrange(11))) for _ in network.agents]
         t, atom = rnd.randrange(12), rnd.randrange(model.n_atoms)
+        times = [rnd.choice((NEVER, rnd.randrange(t))) if t else NEVER
+                 for _ in network.agents]
         view = NeighborTimes(network.out_neighbors(agent), times)
-        keyer = strategy.decision_key(network, agent, view)
-        if keyer is None:  # off a line: ProtocolSigma gives no key
+        history = strategy.decision_key(network, agent, view)
+        if history is None:  # off a line: ProtocolSigma gives no key
             assert isinstance(strategy, ProtocolSigma)
             continue
         p = strategy.adopt_probability(DecisionContext(
             agent=agent, period=t, atom=atom, belief=model.beliefs[atom],
             times=view, network=network))
-        assert answers.setdefault(keyer(t, atom), p) == p
+        assert answers.setdefault((t, atom, history()), p) == p
 
 
 def _outcome(run, *args, **kwargs):
@@ -341,7 +354,7 @@ def _product_table(model, atom, max_observed):
 def test_center_bayes_table_equals_the_direct_product():
     # The table of answers over every atom, observed count up to 100 and
     # adopted count: each is the direct product's verdict, and each decision
-    # has its own key.
+    # has its own history part.
     for model in (BINARY, GRID):
         rule = CenterBayesRule(model=model, period=1)
         for atom in range(model.n_atoms):
@@ -355,5 +368,52 @@ def test_center_bayes_table_equals_the_direct_product():
                         agent=observed, period=1, atom=atom,
                         belief=model.beliefs[atom], times=view, network=None))
                     assert p == (1 if h >= l else 0), (atom, observed, adopted)
-                    key = rule.decision_key(None, observed, view)(1, atom)
-                    assert key == (1, atom, observed, adopted)
+                    history = rule.decision_key(None, observed, view)
+                    assert history() == (observed, adopted)
+
+
+def test_a_hub_cued_twice_reads_its_second_cue():
+    # The leaves of a directed star adopt at period 0 on a high belief and
+    # at period 1 on a middling one; the hub decides at period 2 on every
+    # adoption before it.  A history part left at its first cue's value
+    # would count only the period-0 adopters.
+    network = build_star(6)
+    leaf = ThresholdRule(entries={
+        (None, (0, ())): (Fraction(13, 20), Fraction(1, 2)),
+        (None, (1, ())): (Fraction(7, 20), Fraction(1, 3))})
+    strategies = [CenterBayesRule(model=GRID, period=2)] + [leaf] * 6
+    plan = _RunPlan(network, GRID, strategies)
+    twice = 0
+    for rep in range(200):
+        rng, ref_rng = _replication_rng(11, rep), _replication_rng(11, rep)
+        trace = run_profile(network, GRID, strategies, 3, rng, _plan=plan)
+        expected = reference_run(network, GRID, strategies, 3, ref_rng)
+        assert trace == expected, rep
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        twice += {0, 1} <= set(trace.times[1:])
+    assert twice > 50  # most runs cue the hub in both periods
+
+
+def test_relay_ring_workload_matches_the_references():
+    # The shape of perfbench's mc_relay_ring: a ring of 60 under the relay
+    # protocol (eta 0.1, k 3) to horizon 30, replications sharing a plan.
+    n, k, horizon = 60, 3, 30
+    ring = build_line(n, ring=True)
+    model = binary_model(Fraction(3, 4))
+    proto = strategy_from_spec({"sigma": {"eta": 0.1, "k": k}}, model)
+    strategies = [proto] * n
+    high_bit = np.array([1 if b >= Fraction(1, 2) else 0 for b in model.beliefs])
+    plan = _RunPlan(ring, model, proto)
+    for rep in range(40):
+        rng, ref_rng = _replication_rng(7, rep), _replication_rng(7, rep)
+        trace = run_profile(ring, model, proto, horizon, rng, _plan=plan)
+        expected = reference_run(ring, model, strategies, horizon, ref_rng)
+        assert trace == expected, rep
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # sigma_ring_times reads the same stream: state, atoms, seed coins
+        closed_rng = _replication_rng(7, rep)
+        state = STATE_HIGH if closed_rng.integers(0, 2) == 0 else STATE_LOW
+        atoms = sample_atoms(model, state, n, closed_rng)
+        closed = sigma_ring_times(closed_rng.random(n) < 0.1, high_bit[atoms], k)
+        closed[closed > horizon] = np.inf
+        assert trace.times == tuple(closed.tolist()), rep

@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 
 from netadopt import solver
 from netadopt.common import NEVER, as_fraction, is_never
-from netadopt.engine import (DecisionContext, NeighborTimes, _active_agents,
-                             _normalize_profile, _record_adoptions)
+from netadopt.engine import DecisionContext, NeighborTimes, _normalize_profile
 from netadopt.networks import Network, build_directed_tree, build_line
 from netadopt.signals import binary_model, grid_model
 from netadopt.solver import SolveConfig, best_response, enumerate_scenarios
 from netadopt.strategies import (ThresholdRule, canonical_history,
                                  follow_tree_neighbors, myopic_rule)
-from solver_oracle import history_tree_oracle
+from solver_oracle import active_agents, history_tree_oracle, record_adoptions
 
 BINARY = binary_model(Fraction(3, 4))
 GRID = grid_model(3)
@@ -43,7 +42,7 @@ def replay_scenarios(network, model, profile, horizon, frozen=None):
 
     def run_branch(times, last_cue, remaining, t, factor, atom_of, weights):
         while True:
-            active = (_active_agents(remaining, t, spont, lag, last_cue)
+            active = (active_agents(remaining, t, spont, lag, last_cue)
                       if t <= horizon else [])
             if not active:
                 runs.append((weights[0] * factor, weights[1] * factor,
@@ -62,7 +61,7 @@ def replay_scenarios(network, model, profile, horizon, frozen=None):
                 elif p != 0:
                     mixers.append((i, p))
             if not mixers:
-                _record_adoptions(network, times, last_cue, sure, t)
+                record_adoptions(network, times, last_cue, sure, t)
                 remaining = [i for i in remaining if is_never(times[i])]
                 t += 1
                 continue
@@ -73,7 +72,7 @@ def replay_scenarios(network, model, profile, horizon, frozen=None):
                     adopting += [i] if adopt else []
                     sub_factor *= p if adopt else 1 - p
                 new_times, new_cue = list(times), list(last_cue)
-                _record_adoptions(network, new_times, new_cue, adopting, t)
+                record_adoptions(network, new_times, new_cue, adopting, t)
                 run_branch(new_times, new_cue,
                            [i for i in remaining if is_never(new_times[i])],
                            t + 1, sub_factor, atom_of, weights)

@@ -156,6 +156,35 @@ def test_protocol_sigma_left_tie_break():
     assert proto.adopt_probability(ctx_for(net, 1, 3, times, Fraction(1, 4))) == 1
 
 
+@pytest.mark.parametrize("n,directed,ring", [
+    (2, False, False), (2, True, False), (3, False, False), (3, True, False),
+    (3, False, True), (3, True, True)])
+@pytest.mark.parametrize("orientation", ["both", "ltr", "rtl"])
+def test_protocol_sigma_reacts_only_to_its_own_sides(n, directed, ring,
+                                                     orientation):
+    # A line of 2 is not a ring, even though its one edge joins 0 and n - 1.
+    net = build_line(n, directed=directed, ring=ring)
+    proto = ProtocolSigma(eta=Fraction(1, 10), k=3, orientation=orientation)
+    times = [10 + j for j in range(n)]  # distinct, all before period 20
+    for agent in range(n):
+        left, right = agent - 1, agent + 1
+        if ring:
+            left, right = left % n, right % n
+        sides = {"both": (left, right), "ltr": (left,), "rtl": (right,)}
+        seen = [j for j in sides[orientation]
+                if j in net.out_neighbors(agent)]
+        expected = min((times[j] for j in seen), default=NEVER)
+        view = NeighborTimes(net.out_neighbors(agent), times)
+        assert proto.decision_key(net, agent, view)() == expected
+    # agent 0 of a line of 2 has no left side: under "ltr" its right-hand
+    # neighbor's adoption at 0 does not start its relay at period k + 1
+    line = build_line(2)
+    ltr = ProtocolSigma(eta=Fraction(1, 10), k=3, orientation="ltr")
+    assert ltr.adopt_probability(ctx_for(line, 0, 4, [NEVER, 0], Q)) == 0
+    assert ProtocolSigma(eta=Fraction(1, 10), k=3).adopt_probability(
+        ctx_for(line, 0, 4, [NEVER, 0], Q)) == 1
+
+
 def test_protocol_sigma_rejects_non_line():
     proto = ProtocolSigma(eta=Fraction(1, 10), k=3)
     star = build_star(3, directed=False)
