@@ -30,7 +30,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -48,12 +48,12 @@ from .auxmodel import (
     w_mu,
 )
 from .bounds import bound_report
-from .common import (STATE_HIGH, STATE_LOW, RegimeError, as_fraction, as_int,
-                     is_never, spec_value)
+from .common import (RegimeError, as_bool, as_fraction, as_int, is_never,
+                     spec_value)
 from .engine import (_replication_rng, estimate, outsider_posterior, run_profile,
-                     sigma_ring_estimate, sigma_ring_times)
+                     sigma_ring_estimate, sigma_ring_replication)
 from .networks import build_line, network_from_spec
-from .signals import binary_model, sample_atoms, signal_model_from_spec
+from .signals import binary_model, signal_model_from_spec
 from .solver import (ScenarioBudgetError, SolveConfig, solve_equilibrium,
                      verify_spontaneous_example, verify_structure)
 from .strategies import (ProtocolSigma, ThresholdRule, myopic_rule,
@@ -229,7 +229,8 @@ def _solve_config(config: ExperimentConfig, stabilize_default=True) -> SolveConf
         delta=as_fraction(config.delta),
         horizon=config.horizon,
         max_sweeps=config.param("max_sweeps", 40, convert=as_int),
-        raise_horizon=bool(config.param("stabilize", stabilize_default)),
+        raise_horizon=config.param("stabilize", stabilize_default,
+                                   convert=as_bool),
         max_horizon=config.param("max_horizon", 24, convert=as_int),
     )
 
@@ -248,15 +249,7 @@ def _build_profile(config: ExperimentConfig, network, model):
 
 
 def _checks_dict(checks) -> dict | None:
-    if checks is None:
-        return None
-    return {
-        "threshold_form_ok": checks.threshold_form_ok,
-        "state_monotone_ok": checks.state_monotone_ok,
-        "no_spontaneous_ok": checks.no_spontaneous_ok,
-        "violations": [str(v) for v in checks.violations],
-        "scenario_count": checks.scenario_count,
-    }
+    return None if checks is None else asdict(checks)
 
 
 def _solve(network, model, config: ExperimentConfig):
@@ -298,14 +291,7 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
              "ci": r["ci"]} for r in rows]
     plot += [{"series": "utility", "x": r["agent"], "y": r["utility"],
               "ci": ""} for r in rows]
-    report = {
-        "n_agents": est.n_agents, "n_reps": est.n_reps, "seed": est.seed,
-        "delta": est.delta, "horizon": est.horizon,
-        "p_hat": list(est.p_hat), "ci": list(est.ci),
-        "utility": list(est.utility),
-        "truncated_fraction": est.truncated_fraction,
-        "quiescent_fraction": est.quiescent_fraction,
-    }
+    report = asdict(est)
     ok = True
     if solve_report is not None:
         report["solve"] = {"sweeps": solve_report.sweeps,
@@ -461,13 +447,8 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
     rows = list(result.rows())
     plot = [{"series": "p_hat_by_agent", "x": r["agent"], "y": r["p_hat"],
              "ci": r["ci"]} for r in rows]
-    report = {
-        "n_agents": result.n_agents, "k": result.k, "eta": result.eta,
-        "q": result.q, "n_reps": result.n_reps, "seed": result.seed,
-        "agent": result.agent, "p_hat": result.p_hat, "ci": result.ci,
-        "adopt_rate_high": result.adopt_rate_high,
-        "adopt_rate_low": result.adopt_rate_low,
-    }
+    report = asdict(result)
+    del report["p_hat_agents"]  # the per-agent values are results.csv
     ok = True
     min_p = config.param("min_p_hat", convert=float)
     if min_p is not None:
@@ -476,21 +457,14 @@ def _run_protocol_sigma(config: ExperimentConfig, verify: bool) -> _Outcome:
     if verify:
         vnet = build_line(14, ring=True)
         vprof = ProtocolSigma(eta=Fraction(1, 4), k=3)
-        bits = np.array([1 if b >= Fraction(1, 2) else 0
-                         for b in vmodel.beliefs])
         mismatches = 0
         for rep in range(25):
-            rng = _replication_rng(config.seed, rep)
-            trace = run_profile(vnet, vmodel, vprof, 25, rng)
-            rng = _replication_rng(config.seed, rep)
-            state = STATE_HIGH if rng.integers(0, 2) == 0 else STATE_LOW
-            atoms = sample_atoms(vmodel, state, 14, rng)
-            seeds = rng.random(14) < 0.25
-            closed = sigma_ring_times(seeds, bits[atoms], 3)
-            for a, b in zip(trace.times, closed):
-                eng = np.inf if is_never(a) else float(a)
-                if eng != b:
-                    mismatches += 1
+            trace = run_profile(vnet, vmodel, vprof, 25,
+                                _replication_rng(config.seed, rep))
+            _, closed = sigma_ring_replication(vmodel, 14, 3, 0.25,
+                                               config.seed, rep)
+            # A plain int: results.json writes numpy scalars as strings.
+            mismatches += sum(1 for a, b in zip(trace.times, closed) if a != b)
         report["verify"] = {"engine_mismatches": mismatches}
         ok = ok and mismatches == 0
     return _Outcome(report=report, ok=ok, csv_rows=rows, plot_rows=plot)

@@ -41,11 +41,11 @@ def as_fraction(x) -> Fraction:
 
     A float like 0.9 is taken to mean nine tenths (via its shortest decimal
     repr), not the underlying binary value.  Fractions, ints and numeric
-    strings pass through exactly.
+    strings pass through exactly; a bool is refused.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         if math.isnan(x) or math.isinf(x):
@@ -58,14 +58,22 @@ def as_fraction(x) -> Fraction:
 
 def as_int(x) -> int:
     """Convert a number or numeric string to an int, refusing to truncate:
-    3.7, "3.5" and None raise ValueError."""
+    3.7, "3.5", None and the bools raise ValueError."""
     try:
-        number = int(x)
+        number = None if isinstance(x, bool) else int(x)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (not isinstance(x, str) and number != x):
         raise ValueError(f"must be an integer, got {x!r}")
     return number
+
+
+def as_bool(x) -> bool:
+    """A JSON boolean as is; anything else, such as "false" or 0, raises
+    ValueError."""
+    if not isinstance(x, bool):
+        raise ValueError(f"must be true or false, got {x!r}")
+    return x
 
 
 _REQUIRED = object()

@@ -522,15 +522,28 @@ class SigmaRingReport:
             }
 
 
+def sigma_ring_replication(model: SignalModel, n: int, k: int, eta: float,
+                           seed: int, rep: int) -> tuple:
+    """State and closed-form times (sigma_ring_times) of replication rep of
+    the coordination protocol on a ring of n agents.  Its stream is drawn in
+    run_profile's order (state, atoms, then one period-0 coin per agent), so
+    run_profile on _replication_rng(seed, rep) replays the same run."""
+    rng = _replication_rng(seed, rep)
+    state = STATE_HIGH if rng.integers(0, 2) == 0 else STATE_LOW
+    atoms = sample_atoms(model, state, n, rng)
+    seeds = rng.random(n) < eta
+    high_bit = np.array([1 if b >= Fraction(1, 2) else 0 for b in model.beliefs])
+    return state, sigma_ring_times(seeds, high_bit[atoms], k)
+
+
 def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
                         agent: int | None = None) -> SigmaRingReport:
     """Estimate eventual correctness under the coordination protocol.
 
     Uses the per-gap closed form instead of the step-by-step engine, so
-    rings with thousands of agents are cheap.  Replication r consumes its
-    random stream in the same order as the engine (state, signal atoms,
-    then one period-0 coin per agent in id order), which lets tests replay
-    a replication through run_profile and compare times exactly.
+    rings with thousands of agents are cheap.  Each replication is drawn
+    by sigma_ring_replication, which a replay through run_profile matches
+    exactly.
     """
     if n < 3:
         raise ValueError("ring needs at least three agents")
@@ -545,16 +558,11 @@ def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
         agent = n // 2
     if not 0 <= agent < n:
         raise ValueError(f"agent {agent} out of range for {n} agents")
-    high_bit = np.array([1 if b >= Fraction(1, 2) else 0 for b in model.beliefs])
     correct = np.zeros(n, dtype=np.int64)
     adopted_by_state = [0, 0]
     reps_by_state = [0, 0]
     for rep in range(n_reps):
-        rng = _replication_rng(seed, rep)
-        state = STATE_HIGH if rng.integers(0, 2) == 0 else STATE_LOW
-        atoms = sample_atoms(model, state, n, rng)
-        seeds_mask = rng.random(n) < eta_f
-        times = sigma_ring_times(seeds_mask, high_bit[atoms], k)
+        state, times = sigma_ring_replication(model, n, k, eta_f, seed, rep)
         adopted = np.isfinite(times)
         low = int(state == STATE_LOW)  # adopting is correct when high
         correct += adopted != low

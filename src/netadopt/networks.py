@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .common import as_int, spec_value
+from .common import as_bool, as_int, spec_value
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,9 @@ def network_from_spec(spec) -> Network:
     if kind == "line":
         return build_line(
             n=spec_value(body, "n", where, as_int),
-            directed=spec_value(body, "directed", where, bool, False),
-            ring=spec_value(body, "ring", where, bool, False),
-            mark_infinite=spec_value(body, "mark_infinite", where, bool, False),
+            directed=spec_value(body, "directed", where, as_bool, False),
+            ring=spec_value(body, "ring", where, as_bool, False),
+            mark_infinite=spec_value(body, "mark_infinite", where, as_bool, False),
         )
     if kind == "tree":
         return build_directed_tree(d=spec_value(body, "d", where, as_int),
@@ -279,7 +279,7 @@ def network_from_spec(spec) -> Network:
     if kind == "star":
         return build_star(
             n_leaves=spec_value(body, "leaves", where, as_int),
-            directed=spec_value(body, "directed", where, bool, True),
+            directed=spec_value(body, "directed", where, as_bool, True),
         )
     if kind == "spontaneous_example":
         return build_spontaneous_example()

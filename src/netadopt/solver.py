@@ -516,8 +516,34 @@ def _profile_residual(old: dict, new: dict) -> float:
 
 
 def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
-                      initial=None, check: bool = True) -> EquilibriumReport:
-    """Gauss-Seidel best-response iteration from a myopic start.
+                      initial=None) -> EquilibriumReport:
+    """Gauss-Seidel best-response iteration (see _sweep), one horizon at a time.
+
+    One loop sweeps config.horizon and, with raise_horizon, each next
+    horizon up to max_horizon, until two in a row converge with equal
+    period-0 and period-1 entries (horizon_stabilized True, else False;
+    None without raise_horizon).  The structure checks run once, on a
+    converged profile, at horizon_used.
+    """
+    last = config.max_horizon if config.raise_horizon else config.horizon
+    early = None
+    for horizon in range(config.horizon, last + 1):
+        swept = replace(config, horizon=horizon)
+        report = _sweep(network, model, swept, initial)
+        previous = early
+        early = _early_entries(report.profile) if report.converged else None
+        stable = early is not None and early == previous
+        if stable:
+            break
+    checks = (verify_structure(network, model, report.profile, swept)
+              if report.converged else None)
+    return replace(report, checks=checks,
+                   horizon_stabilized=stable if config.raise_horizon else None)
+
+
+def _sweep(network, model, config, initial) -> EquilibriumReport:
+    """Best-response sweeps at config.horizon from initial, or the myopic
+    rule, without structure checks.
 
     Sweeps agents in id order, replacing each strategy with its exact best
     response.  Convergence means the whole profile is exactly unchanged over
@@ -525,9 +551,6 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
     for binary-signal instances a symmetric mixing search on the
     MIXING_GRID_STEP grid is then attempted before giving up.
     """
-    if config.raise_horizon:
-        return _solve_with_stable_horizon(network, model, config, initial, check)
-
     if initial is None:
         base = myopic_rule(model)
         profile = {i: base for i in network.agents}
@@ -563,9 +586,6 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
             residual = 0.0
             mixed = True
 
-    checks = None
-    if check and converged:
-        checks = verify_structure(network, model, profile, config)
     return EquilibriumReport(
         profile=profile,
         converged=converged,
@@ -574,7 +594,7 @@ def solve_equilibrium(network, model: SignalModel, config: SolveConfig,
         cycle_length=cycle_length,
         horizon_used=config.horizon,
         horizon_stabilized=None,
-        checks=checks,
+        checks=None,
         mixed=mixed,
     )
 
@@ -585,28 +605,6 @@ def _early_entries(profile: dict) -> tuple:
                      profile[i].entries.items(),
                      key=lambda kv: (str(kv[0][0]), kv[0][1]))
                  if key[0] <= 1)
-
-
-def _solve_with_stable_horizon(network, model, config, initial, check):
-    base = replace(config, raise_horizon=False)
-    prev_report = None
-    prev_early = None
-    for horizon in range(config.horizon, config.max_horizon + 1):
-        cfg = replace(base, horizon=horizon)
-        report = solve_equilibrium(network, model, cfg, initial=initial, check=False)
-        early = _early_entries(report.profile) if report.converged else None
-        if prev_report is not None and report.converged and early == prev_early:
-            checks = verify_structure(network, model, report.profile, cfg) \
-                if check else None
-            return replace(report, horizon_stabilized=True,
-                           horizon_used=horizon, checks=checks)
-        prev_report, prev_early = report, early
-    cfg = replace(base, horizon=config.max_horizon)
-    checks = None
-    if check and prev_report.converged:
-        checks = verify_structure(network, model, prev_report.profile, cfg)
-    return replace(prev_report, horizon_stabilized=False,
-                   horizon_used=config.max_horizon, checks=checks)
 
 
 def is_equilibrium(network, model: SignalModel, profile, config: SolveConfig) -> bool:
@@ -679,61 +677,36 @@ class _ExactWatcherRule(Strategy):
         """Likelihood ratio of the observed history, high over low state.
 
         times_of maps an agent id to its adoption time; adoptions at or
-        after period are treated as not yet observed.
+        after period are treated as not yet observed.  A watched agent
+        adopts at one period (isolated 0, deferring 1, follower 2) or
+        never, so once that period is observed it gives the chance that it
+        adopts there, its complement when silent, and 0 otherwise.
         """
-        q = self.q
+        watched = [(j, at) for at, group in enumerate(
+            (self.isolated, self.deferring, (self.follower,)))
+            for j in group if at < period]
 
-        def seen(agent):
-            tau = times_of(agent)
-            return tau if not is_never(tau) and tau < period else NEVER
-
-        def anchor_sum(theta_q, iso_factor):
-            # Sum over the unseen anchor-signal pair (number high in 0..2).
+        def likelihood(theta):
+            # Sum over the unseen anchor-signal pair, n_high of them high.
             total = ZERO
-            for n_high, weight in ((2, theta_q ** 2),
-                                   (1, 2 * theta_q * (1 - theta_q)),
-                                   (0, (1 - theta_q) ** 2)):
-                acc = weight * iso_factor
-                # Majority at a deferring agent needs 2 - n_high own highs.
-                for b in self.deferring:
-                    if period < 2:
-                        continue
-                    tau = seen(b)
-                    if tau == 1:
-                        f = (ONE if n_high == 2
-                             else theta_q if n_high == 1 else ZERO)
-                    elif is_never(tau):
-                        f = (ZERO if n_high == 2
-                             else 1 - theta_q if n_high == 1 else ONE)
-                    else:
-                        f = ZERO
-                    acc *= f
-                    if acc == 0:
+            for n_high, weight in enumerate(((1 - theta) ** 2,
+                                             2 * theta * (1 - theta),
+                                             theta ** 2)):
+                # Own high signal; then a majority with the anchors, for a
+                # deferring agent and for the relay the follower mirrors.
+                majority = (ZERO, theta, ONE)[n_high]
+                chance = (theta, majority, majority)
+                for j, at in watched:
+                    tau = times_of(j)
+                    weight *= (chance[at] if tau == at else
+                               1 - chance[at] if tau >= period else ZERO)
+                    if not weight:
                         break
-                if period >= 3 and acc != 0:
-                    # The follower mirrors the relay's period-1 action, and
-                    # the relay adopts at 1 on a majority with the anchors.
-                    tau = seen(self.follower)
-                    relay_adopts = (ONE if n_high == 2
-                                    else theta_q if n_high == 1 else ZERO)
-                    if tau == 2:
-                        acc *= relay_adopts
-                    elif is_never(tau):
-                        acc *= 1 - relay_adopts
-                    else:
-                        acc = ZERO
-                total += acc
+                total += weight
             return total
 
-        def iso_product(theta_q):
-            acc = ONE
-            if period >= 1:
-                for c in self.isolated:
-                    acc *= theta_q if seen(c) == 0 else 1 - theta_q
-            return acc
-
-        num = anchor_sum(q, iso_product(q))
-        den = anchor_sum(1 - q, iso_product(1 - q))
+        num = likelihood(self.q)
+        den = likelihood(1 - self.q)
         if num == 0 and den == 0:
             raise ImpossibleHistoryError(
                 "watcher observed a history with probability zero")
@@ -829,20 +802,19 @@ def verify_spontaneous_example(q, delta) -> SpontaneousReport:
                         rng=np.random.default_rng(0), state=STATE_HIGH,
                         atoms=atoms)
     times = trace.times
+    periods = [None if is_never(t) else t for t in times]
 
-    expected = {"a1": 0, "a2": None, "d": None, "e": None}
-    for role, want in expected.items():
-        got = times[groups[role]]
-        got = None if is_never(got) else got
-        if got != want:
-            raise RuntimeError(f"replay inconsistency: {role} adopted at "
-                               f"{got}, expected {want}")
-    for label, members, want in (("B", groups["B"], 1), ("C", groups["C"], None)):
+    # Each role's adoption period (None: never); f's is judged in ok below.
+    replay = {"a1": 0, "a2": None, "d": None, "e": None, "f": 3, "B": 1,
+              "C": None}
+    role_times = {}
+    for role, want in replay.items():
+        members = groups[role] if role in ("B", "C") else (groups[role],)
         for i in members:
-            got = None if is_never(times[i]) else times[i]
-            if got != want:
-                raise RuntimeError(f"replay inconsistency: {label} agent {i} "
-                                   f"adopted at {got}, expected {want}")
+            if periods[i] != want and role != "f":
+                raise RuntimeError(f"replay inconsistency: {role} agent {i} "
+                                   f"adopted at {periods[i]}, expected {want}")
+        role_times[role] = periods[members[0]]
 
     # Route 1: the watcher's own factored enumeration on the realized trace.
     belief_f = model.beliefs[atoms[groups["f"]]]
@@ -856,8 +828,7 @@ def verify_spontaneous_example(q, delta) -> SpontaneousReport:
         raise RuntimeError("watcher posterior disagrees with the closed form "
                            f"at period 2: {lr2} != {lr2_closed}")
 
-    f_time = times[groups["f"]]
-    f_time = None if is_never(f_time) else f_time
+    f_time = role_times["f"]
     if (lr2 < 1) != (f_time != 2):
         raise RuntimeError("watcher action at period 2 contradicts its odds")
 
@@ -870,15 +841,7 @@ def verify_spontaneous_example(q, delta) -> SpontaneousReport:
                                f"form at period 3: {lr3} != {lr3_closed}")
 
     period2 = sum(1 for t in times if t == 2)
-    role_times = {}
-    for role in ("a1", "a2", "d", "e", "f"):
-        t = times[groups[role]]
-        role_times[role] = None if is_never(t) else t
-    for label in ("B", "C"):
-        t = times[groups[label][0]]
-        role_times[label] = None if is_never(t) else t
-
-    ok = (lr2 < 1 and lr3 > 1 and f_time == 3 and period2 == 0
+    ok = (lr2 < 1 and lr3 > 1 and f_time == replay["f"] and period2 == 0
           and not trace.truncated)
     return SpontaneousReport(
         q=qf, delta=df, defer_margin=defer_lhs - 1, lr_period2=lr2,

@@ -27,14 +27,16 @@ NAMES_A_FIELD = re.compile(
 
 # Per config field: values that may work, then values that must not.
 FIELDS = {
-    "seed": ((1, 7, 20250816, -3), ("x", 1.5, None)),
+    "seed": ((1, 7, 20250816, -3), ("x", 1.5, None, True)),
     "network": (
         ({"line": {"n": 3}}, {"line": {"n": 6, "ring": True}},
          {"line": {"n": 4, "directed": True}}, {"line": {"n": 1}},
          {"star": {"leaves": 3}}, {"star": {"leaves": 5, "directed": False}},
          {"tree": {"d": 2, "depth": 1}}, {"edgelist": "0 1\n1 2\n2 0"}),
         ({"line": {"n": 0}}, {"line": {"n": "x"}}, {"line": {}}, {"ring": {}},
-         {"star": {"leaves": -2}}, {"edgelist": "0 x"}, "line", [])),
+         {"star": {"leaves": -2}}, {"edgelist": "0 x"}, "line", [],
+         {"line": {"n": 5, "ring": "false", "directed": "no"}},
+         {"line": {"n": True}}, {"star": {"leaves": 3, "directed": 1}})),
     "signal": (
         ({"binary": 0.75}, {"binary": "3/4"}, {"binary": 0.6},
          {"grid": {"n": 3}}, {"atoms": [[0.5, 0.25], [0.5, 0.75]]}),
@@ -49,10 +51,11 @@ FIELDS = {
          ["myopic", {"center_bayes": {"period": 1}}, "myopic"]),
         ({"sigma": {"eta": 0.25, "k": 2}}, {"center_bayes": {"period": -1}},
          {"aux": {"family": 3, "r": 0.5}}, {"threshold_table_text": "garbage"},
-         ["myopic", "solve"], "bogus", 5)),
-    "delta": ((0.9, "9/10", 0.99, 0.5), (0, 1.5, "x", [1])),
-    "horizon": ((0, 1, 2, 3, 5), (-1, "3", 2.5, "x")),
-    "jobs": ((1, 4), ("x",)),
+         {"aux": {"family": True, "r": True}}, ["myopic", "solve"], "bogus",
+         5)),
+    "delta": ((0.9, "9/10", 0.99, 0.5), (0, 1.5, "x", [1], True)),
+    "horizon": ((0, 1, 2, 3, 5), (-1, "3", 2.5, "x", True)),
+    "jobs": ((1, 4), ("x", True)),
 }
 MU = {"grid": ["0", "1/2", "1"], "mass_high": ["1/2", "1/4", "1/4"],
       "mass_low": ["1/4", "1/4", "1/2"]}
@@ -61,11 +64,11 @@ PARAMS = {
     "m": ((0, 3, 40), (-1, "abc")),
     "q": ((0.9, 0.6), (0.5, 1, "x")),
     "n": ((3, 6), (1, "x")),
-    "k": ((3, 4), (2, "x")),
+    "k": ((3, 4), (2, "x", True)),
     "eta": ((0.25, 0.5), (0, "x")),
     "agent": ((0, 2), (9, "x")),
-    "stabilize": ((True, False), ("x",)),
-    "max_sweeps": ((1, 3), (0, "x")),
+    "stabilize": ((True, False), ("x", "false", 0)),
+    "max_sweeps": ((1, 3), (0, "x", True)),
     "min_p_hat": ((0.0, 0.6), (1.5, "x")),
     "focal_agent": ((0, 2), (9, "x")),
     "target": ((0.9, 0.2), ("x",)),
@@ -99,7 +102,7 @@ def configs(draw):
     # sample size and would draw 1000 without them), a stabilised horizon
     # of at most 5, and a ring of at most 6 agents for the relay protocol.
     raw["replications"] = _value(draw, (1, 5, 20), (1, 5, 20)
-                                 if kind == "auxmodel" else (-1, "x", None))
+                                 if kind == "auxmodel" else (-1, "x", None, True))
     params = {"max_horizon": draw(st.integers(0, 5)),
               "n": _value(draw, *PARAMS["n"])}
     for name, values in PARAMS.items():
@@ -199,6 +202,25 @@ def _exit_and_error(tmp_path, **fields):
     ({"kind": "bounds", "params": {"eps": 0.1, "m": 0}}, "params: segment"),
     ({"kind": "protocol-sigma", "params": {"eta": 0.25, "n": 2, "k": 3}},
      "params: ring"),
+    ({"horizon": True}, "error: horizon must be an integer, got True"),
+    ({"replications": True},
+     "error: replications must be an integer, got True"),
+    ({"delta": True}, "error: delta: "),
+    ({"strategy": {"aux": {"family": True, "r": True}}},
+     "strategy.aux.family: must be an integer, got True"),
+    ({"strategy": {"aux": {"family": 2, "r": True}}},
+     "strategy.aux.r: cannot interpret bool"),
+    ({"network": {"line": {"n": True}}}, "network.line.n: "),
+    ({"network": {"line": {"n": 5, "ring": "false", "directed": "no"}}},
+     "network.line.directed: must be true or false, got 'no'"),
+    ({"network": {"line": {"n": 5, "ring": "false"}}},
+     "network.line.ring: must be true or false, got 'false'"),
+    ({"network": {"line": {"n": 5, "mark_infinite": 1}}},
+     "network.line.mark_infinite: must be true or false, got 1"),
+    ({"network": {"star": {"leaves": 3, "directed": "yes"}}},
+     "network.star.directed: must be true or false"),
+    ({"kind": "solve", "params": {"stabilize": "false"}},
+     "params.stabilize: must be true or false, got 'false'"),
 ])
 def test_bad_config_fields_are_named(tmp_path, fields, named):
     code, err = _exit_and_error(tmp_path, **fields)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,52 @@ def test_solve_three_path_structural_checks():
     assert checks.state_monotone_ok
     assert checks.no_spontaneous_ok
     assert checks.violations == ()
+
+
+def test_stabilised_checks_read_the_horizon_used():
+    net = build_line(4)
+    cfg = SolveConfig(delta=Fraction(9, 10), horizon=1, raise_horizon=True,
+                      max_horizon=8)
+    report = solve_equilibrium(net, MODEL, cfg)
+    assert report.horizon_stabilized
+    assert report.horizon_used == 3
+    used = SolveConfig(delta=cfg.delta, horizon=report.horizon_used)
+    assert report.checks == verify_structure(net, MODEL, report.profile, used)
+    assert report.checks.scenario_count == 18
+    assert verify_structure(net, MODEL, report.profile,
+                            replace(used, horizon=1)).scenario_count == 6
+
+
+def test_stabilisation_without_room_to_raise_reports_max_horizon():
+    net = build_line(3)
+    cfg = SolveConfig(delta=Fraction(9, 10), horizon=3, raise_horizon=True,
+                      max_horizon=3)
+    report = solve_equilibrium(net, MODEL, cfg)
+    assert report.converged
+    assert report.horizon_stabilized is False
+    assert report.horizon_used == 3
+    fixed = solve_equilibrium(net, MODEL, SolveConfig(delta=cfg.delta, horizon=3))
+    assert fixed.horizon_stabilized is None
+    assert report.checks == fixed.checks
+    for i in net.agents:
+        assert report.profile[i].entries == fixed.profile[i].entries
+
+
+def test_a_horizon_that_does_not_converge_breaks_stabilisation():
+    # On a line of 3 the myopic start converges in 2 sweeps at horizon 0
+    # and needs 3 at every later horizon, so with 2 sweeps allowed only
+    # horizon 0 converges and no two horizons in a row agree.
+    net = build_line(3)
+    cfg = SolveConfig(delta=Fraction(9, 10), horizon=0, max_sweeps=2,
+                      raise_horizon=True, max_horizon=2)
+    assert solve_equilibrium(net, MODEL, replace(
+        cfg, raise_horizon=False)).converged
+    report = solve_equilibrium(net, MODEL, cfg)
+    assert not report.converged
+    assert report.horizon_stabilized is False
+    assert report.horizon_used == 2
+    assert report.sweeps == 2
+    assert report.checks is None
 
 
 def test_non_equilibrium_detected():

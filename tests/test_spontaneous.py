@@ -2,10 +2,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from netadopt.common import RegimeError
-from netadopt.solver import verify_spontaneous_example
+from netadopt.common import (NEVER, ImpossibleHistoryError, RegimeError,
+                             as_fraction, is_never)
+from netadopt.solver import _ExactWatcherRule, verify_spontaneous_example
 
 Q = Fraction(9, 10)
 DELTA = Fraction(99, 100)
@@ -109,3 +111,105 @@ def test_deferring_rule_adopts_at_period_one_on_a_majority():
                         agent=0, period=t, atom=atom, belief=belief,
                         times=view, network=None))
                     assert p == (t == 1 and high >= 2), (t1, t2, atom, t)
+
+
+def _ladder_odds(rule, times_of, period, own_belief):
+    """The watcher's odds as the two case ladders wrote them before the
+    factor was folded into one rule; the reference for the test below."""
+    q = rule.q
+    zero, one = Fraction(0), Fraction(1)
+
+    def seen(agent):
+        tau = times_of(agent)
+        return tau if not is_never(tau) and tau < period else NEVER
+
+    def anchor_sum(theta_q, iso_factor):
+        total = zero
+        for n_high, weight in ((2, theta_q ** 2),
+                               (1, 2 * theta_q * (1 - theta_q)),
+                               (0, (1 - theta_q) ** 2)):
+            acc = weight * iso_factor
+            for b in rule.deferring:
+                if period < 2:
+                    continue
+                tau = seen(b)
+                if tau == 1:
+                    f = (one if n_high == 2
+                         else theta_q if n_high == 1 else zero)
+                elif is_never(tau):
+                    f = (zero if n_high == 2
+                         else 1 - theta_q if n_high == 1 else one)
+                else:
+                    f = zero
+                acc *= f
+                if acc == 0:
+                    break
+            if period >= 3 and acc != 0:
+                tau = seen(rule.follower)
+                relay_adopts = (one if n_high == 2
+                                else theta_q if n_high == 1 else zero)
+                if tau == 2:
+                    acc *= relay_adopts
+                elif is_never(tau):
+                    acc *= 1 - relay_adopts
+                else:
+                    acc = zero
+            total += acc
+        return total
+
+    def iso_product(theta_q):
+        acc = one
+        if period >= 1:
+            for c in rule.isolated:
+                acc *= theta_q if seen(c) == 0 else 1 - theta_q
+        return acc
+
+    num = anchor_sum(q, iso_product(q))
+    den = anchor_sum(1 - q, iso_product(1 - q))
+    if num == 0 and den == 0:
+        raise ImpossibleHistoryError(
+            "watcher observed a history with probability zero")
+    belief = as_fraction(own_belief)
+    return (belief / (1 - belief)) * num / den if den != 0 else NEVER
+
+
+@pytest.mark.parametrize("q", [Q, Fraction(3, 5)])
+def test_watcher_odds_match_the_case_ladders(q):
+    # Random histories of a small watcher instance: each agent mostly takes
+    # a time its role allows (isolated 0, deferring 1, follower 2, or
+    # never), otherwise any time.  The folded factor equals the ladders,
+    # and both refuse the same histories, except where an isolated agent
+    # is seen adopting after period 0: the ladders read it as silent, the
+    # folded factor as the zero-probability history it is (an isolated
+    # agent adopts at 0 or never).
+    rule = _ExactWatcherRule(q=q, deferring=(1, 2, 3), isolated=(4, 5, 6),
+                             follower=7)
+    allowed = {**{j: 0 for j in rule.isolated},
+               **{j: 1 for j in rule.deferring}, rule.follower: 2}
+    rng = np.random.default_rng(2)
+    outcomes = {"equal": 0, "both impossible": 0, "isolated late": 0}
+    for _ in range(3000):
+        times = {j: ((at, NEVER)[rng.integers(2)] if rng.random() < 0.85
+                     else (0, 1, 2, 3, NEVER)[rng.integers(5)])
+                 for j, at in allowed.items()}
+        period = int(rng.integers(0, 5))
+        belief = q if rng.random() < 0.5 else 1 - q
+        try:
+            want = _ladder_odds(rule, times.get, period, belief)
+        except ImpossibleHistoryError:
+            want = None
+        late = any(0 < times[c] < period for c in rule.isolated)
+        try:
+            got = rule.factored_odds(times.get, period, belief)
+        except ImpossibleHistoryError:
+            got = None
+        if want is None:
+            assert got is None, (times, period)
+            outcomes["both impossible"] += 1
+        elif late:
+            assert got is None, (times, period)
+            outcomes["isolated late"] += 1
+        else:
+            assert got == want, (times, period)
+            outcomes["equal"] += 1
+    assert min(outcomes.values()) > 50, outcomes
