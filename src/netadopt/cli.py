@@ -50,8 +50,9 @@ from .auxmodel import (
 from .bounds import bound_report
 from .common import (RegimeError, as_bool, as_fraction, as_int, is_never,
                      spec_value)
-from .engine import (_replication_rng, estimate, outsider_posterior, run_profile,
-                     sigma_ring_estimate, sigma_ring_replication)
+from .engine import (_normalize_profile, _replication_rng, estimate,
+                     outsider_posterior, run_profile, sigma_ring_estimate,
+                     sigma_ring_replication)
 from .networks import build_line, network_from_spec
 from .signals import binary_model, signal_model_from_spec
 from .solver import (ScenarioBudgetError, SolveConfig, solve_equilibrium,
@@ -305,14 +306,13 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
         if est.p_hat[focal] < min_p:
             ok = False
     if verify and solve_report is None:
-        prof = profile if isinstance(profile, dict) else \
-            {i: profile for i in network.agents}
-        if not all(isinstance(s, ThresholdRule) for s in prof.values()):
+        if not all(isinstance(s, ThresholdRule)
+                   for s in _normalize_profile(network, profile)):
             report["verify"] = "skipped: needs threshold rules"
         else:
             try:
                 checks = verify_structure(
-                    network, model, prof,
+                    network, model, profile,
                     _solve_config(config, stabilize_default=False))
             except ScenarioBudgetError as exc:
                 report["verify"] = f"skipped: {exc}"

@@ -18,7 +18,7 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +75,8 @@ class DecisionContext:
 
 @dataclass(frozen=True)
 class ActionTrace:
-    """One realized run: per-agent adoption periods plus draw bookkeeping."""
+    """One realized run: per-agent adoption periods plus draw bookkeeping.
+    Times must be NEVER or in 0..horizon, checked except in run_profile's."""
 
     times: tuple
     horizon: int
@@ -84,8 +85,11 @@ class ActionTrace:
     beliefs: tuple
     truncated: bool
     quiescent_at: int | None = None
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted):
+        if _trusted:
+            return
         for tau in self.times:
             if not is_never(tau) and not (0 <= tau <= self.horizon):
                 raise ValueError(f"adoption time {tau} outside 0..{self.horizon}")
@@ -110,12 +114,12 @@ def _deadline(spont, lag, cue) -> float:
     return math.inf if lag is None else max(spont, cue + lag)
 
 
-def _record_adoptions(network, times, deadline, spont, lag, adopting, t) -> set:
+def _record_adoptions(observers, times, deadline, spont, lag, adopting, t) -> set:
     """Record the period-t adoptions in times; return the agents they cue,
-    the non-adopters observing one, with deadlines moved to cue t."""
+    non-adopters in an adopter i's observers[i], with deadlines moved to t."""
     for i in adopting:
         times[i] = t
-    cued = {w for i in adopting for w in network.in_neighbors(i) if times[w] == NEVER}
+    cued = {w for i in adopting for w in observers[i] if times[w] == NEVER}
     for w in cued:
         deadline[w] = _deadline(spont[w], lag[w], t)
     return cued
@@ -124,8 +128,9 @@ def _record_adoptions(network, times, deadline, spont, lag, adopting, t) -> set:
 class _RunPlan:
     """What every run of one profile on one network and model shares.
 
-    Strategies, activity limits and deadlines before any cue, one times list
-    that each run resets, each agent's view of it and history function (see
+    Strategies, activity limits and deadlines before any cue, observers, one
+    times list and one adopter list (in adoption order) that each run resets,
+    each agent's view of times and history function (see
     Strategy.decision_key), and one answer memo per strategy object, which
     memos[i] names for every agent i that holds it.  Before any agent an
     agent observes adopts, its answer is filed under (agent, period, atom)
@@ -133,7 +138,8 @@ class _RunPlan:
     at all without a history function."""
 
     __slots__ = ("network", "strategies", "spont", "lag", "deadlines", "beliefs",
-                 "float_beliefs", "times", "views", "histories", "memos")
+                 "float_beliefs", "observers", "times", "adopters", "views",
+                 "histories", "memos")
 
     def __init__(self, network, model: SignalModel, profile):
         self.network = network
@@ -144,7 +150,9 @@ class _RunPlan:
                           for i in network.agents]
         self.beliefs = model.beliefs
         self.float_beliefs = tuple(float(b) for b in self.beliefs)
+        self.observers = [network.in_neighbors(i) for i in network.agents]
         self.times = [NEVER] * network.n
+        self.adopters = []
         self.views = [NeighborTimes(network.out_neighbors(i), self.times)
                       for i in network.agents]
         self.histories = [s.decision_key(network, i, self.views[i])
@@ -197,8 +205,9 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
         if not all(0 <= a < model.n_atoms for a in atoms):
             raise ValueError(f"signal atoms must lie in 0..{model.n_atoms - 1}")
 
-    times = plan.times
+    times, adopters = plan.times, plan.adopters
     times[:] = [NEVER] * n
+    adopters.clear()
     spont, lag, histories, memos = plan.spont, plan.lag, plan.histories, plan.memos
     n_atoms = model.n_atoms
     deadline = list(plan.deadlines)
@@ -232,8 +241,9 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
                 adopting.append(i)
         if adopting:
             remaining -= len(adopting)
-            cued = _record_adoptions(network, times, deadline, spont, lag,
-                                     adopting, t)
+            adopters += adopting
+            cued = _record_adoptions(plan.observers, times, deadline, spont,
+                                     lag, adopting, t)
             for w in cued:
                 history[w] = histories[w] and histories[w]()
             active = sorted(cued.union(active).difference(adopting))
@@ -245,9 +255,10 @@ def run_profile(network, model: SignalModel, profile, horizon: int,
         horizon=horizon,
         state=state,
         atoms=tuple(atoms),
-        beliefs=tuple(plan.float_beliefs[a] for a in atoms),
+        beliefs=tuple(map(plan.float_beliefs.__getitem__, atoms)),
         truncated=truncated,
         quiescent_at=quiescent_at,
+        _trusted=True,
     )
 
 
@@ -307,7 +318,9 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     Runs n_reps independent replications; replication r uses a random
     stream derived from (seed, r), so results are reproducible.  The
     replications of one shard share one _RunPlan, so a strategy is asked
-    once per decision key and shard (see run_profile).  jobs > 1 splits the
+    once per decision key and shard (see run_profile), and a replication is
+    tallied from the plan's adopter list: it costs time in its decisions and
+    adoptions, not in agents, and never-adopters add 0.  jobs > 1 splits the
     replications into jobs shards, run by at most one worker process per
     CPU, with a deterministic merge: counts and fractions do not depend on
     jobs, but the float utility sums are added shard by shard, so utilities
@@ -376,24 +389,23 @@ def _parallel_shards(args) -> list:
 def _estimate_shard(packed):
     network, model, profile, horizon, delta, seed, lo, hi = packed
     n = network.n
-    correct = [0] * n
+    adopted = ([0] * n, [0] * n)  # runs each agent adopted in, high and low
     util = [0.0] * n
-    truncated = 0
-    quiescent = 0
+    low_reps = truncated = quiescent = 0
     plan = _RunPlan(network, model, profile)
     for rep in range(lo, hi):
         rng = _replication_rng(seed, rep)
         trace = run_profile(network, model, profile, horizon, rng, _plan=plan)
         # adjudicate's flags: adopting is correct exactly in the high state
-        high = trace.state == STATE_HIGH
-        for i, tau in enumerate(trace.times):
-            if tau == NEVER:
-                correct[i] += not high
-            else:
-                correct[i] += high
-                util[i] += (delta ** tau) * (1.0 if high else -1.0)
+        low = trace.state == STATE_LOW
+        low_reps += low
+        counts, sign, times = adopted[low], -1.0 if low else 1.0, trace.times
+        for i in plan.adopters:
+            counts[i] += 1
+            util[i] += (delta ** times[i]) * sign
         truncated += trace.truncated
         quiescent += trace.quiescent_at is not None
+    correct = [h + low_reps - l for h, l in zip(*adopted)]
     return {"correct": np.array(correct, dtype=np.int64),
             "util": np.array(util, dtype=np.float64),
             "truncated": truncated, "quiescent": quiescent}

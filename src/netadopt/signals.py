@@ -85,6 +85,12 @@ class SignalModel:
             self._floats[key] = probs / probs.sum()
         return self._floats[key]
 
+    def _cdf(self, state: str) -> np.ndarray:
+        if ("cdf", state) not in self._floats:
+            cdf = self._float_probs(state).cumsum()
+            self._floats["cdf", state] = cdf / cdf[-1]
+        return self._floats["cdf", state]
+
     def float_beliefs(self) -> np.ndarray:
         if "beliefs" not in self._floats:
             self._floats["beliefs"] = np.array([float(b) for b in self.beliefs])
@@ -139,8 +145,10 @@ def grid_model(n_atoms: int = 101, lo=Fraction(1, 5), hi=Fraction(4, 5)) -> Sign
 
 
 def sample_atoms(model: SignalModel, state: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw atom indices i.i.d. conditional on the state."""
-    return rng.choice(model.n_atoms, size=size, p=model._float_probs(state))
+    """Draw atom indices i.i.d. conditional on the state.  This is
+    Generator.choice's algorithm for a given p (a uniform per draw looked up
+    in the CDF) over the model's cached CDF, so indices and stream match."""
+    return model._cdf(state).searchsorted(rng.random(size), side="right")
 
 
 def signal_model_from_spec(spec) -> SignalModel:

@@ -42,14 +42,13 @@ from .engine import (
     run_profile,
 )
 from .networks import (
-    Network,
     analyze,
     build_spontaneous_example,
     spontaneous_example_groups,
 )
 from .signals import SignalModel, binary_model
 from .strategies import (FollowRule, HALF, Strategy, ThresholdRule,
-                         canonical_history, history_key_to_text, myopic_rule)
+                         history_key_to_text, myopic_rule)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -131,6 +130,7 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
             for i in agents]
     spont = [s.spontaneous_until for s in strategies]
     lag = [s.max_reaction_lag for s in strategies]
+    observers = [network.in_neighbors(i) for i in agents]
     scale = [math.lcm(*(lik[k].denominator for lik in model.atoms)) for k in (0, 1)]
     scaled = [(int(lh * scale[0]), int(ll * scale[1])) for lh, ll in model.atoms]
 
@@ -230,8 +230,8 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
                 adopters = [i for i, adopt, _ in picks if adopt]
                 if adopters:
                     new_times, new_deadline = list(times), list(deadline)
-                    _record_adoptions(network, new_times, new_deadline, spont,
-                                      lag, adopters, t)
+                    _record_adoptions(observers, new_times, new_deadline,
+                                      spont, lag, adopters, t)
                     new_times = tuple(new_times)
                 key = (new_times, tuple(new_masks))
                 if key in following:

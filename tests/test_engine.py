@@ -2,6 +2,7 @@ import math
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ from netadopt.common import NEVER, STATE_HIGH, STATE_LOW, StrategyViolationError
 from netadopt.engine import (
     ActionTrace,
     _RunPlan,
+    _replication_rng,
+    _shard_ranges,
     adjudicate,
     estimate,
     outsider_posterior,
@@ -20,7 +23,7 @@ from netadopt.engine import (
     sigma_ring_times,
 )
 from netadopt.networks import build_line, build_star
-from netadopt.signals import binary_model, sample_atoms
+from netadopt.signals import SignalModel, binary_model, sample_atoms
 from netadopt.strategies import (CenterBayesRule, FollowRule, ProtocolSigma,
                                  Strategy, ThresholdRule, myopic_rule)
 
@@ -130,6 +133,110 @@ def test_estimate_jobs_merge_with_late_adopter():
     assert r2.quiescent_fraction == r1.quiescent_fraction
     for u1, u2 in zip(r1.utility, r2.utility):
         assert abs(u1 - u2) <= 1e-12
+
+
+THREE_ATOMS = SignalModel(atoms=((Fraction(1, 2), Fraction(1, 6)),
+                                 (Fraction(1, 3), Fraction(1, 3)),
+                                 (Fraction(1, 6), Fraction(1, 2))))
+
+
+def _tally_cases():
+    """(network, model, profile, horizon): a Bayes hub on a star, the relay
+    protocol on a ring (its seeds mix at period 0), a threshold line cut
+    off by the horizon while agents may still act, and a 3-atom ring whose
+    agents adopt or mix late."""
+    star = {0: CenterBayesRule(model=MODEL, period=1)}
+    star.update({i: myopic_rule(MODEL) for i in range(1, 13)})
+    late = ThresholdRule(entries={(None, (0, ())): (Fraction(1, 4), Fraction(1, 2)),
+                                  (None, (4, ())): (Fraction(0), Fraction(0))})
+    three = ThresholdRule(entries={(None, (0, ())): (Fraction(1, 2), Fraction(0)),
+                                   (None, (2, ())): (Fraction(1, 4), Fraction(1, 3))})
+    return [(build_star(12), MODEL, star, 2),
+            (build_line(12, ring=True), MODEL,
+             ProtocolSigma(eta=Fraction(1, 5), k=3), 12),
+            (build_line(6), MODEL, late, 2),
+            (build_line(6, ring=True), THREE_ATOMS, three, 3)]
+
+
+def _reference_estimate(network, model, profile, horizon, delta, n_reps,
+                        seed, jobs):
+    """estimate's numbers rebuilt one replication at a time from fresh
+    run_profile calls and adjudicate, with utilities summed per shard."""
+    correct = np.zeros(network.n, dtype=np.int64)
+    util, truncated, quiescent = 0, 0, 0
+    for lo, hi in _shard_ranges(n_reps, jobs):
+        shard = [0.0] * network.n
+        for rep in range(lo, hi):
+            trace = run_profile(network, model, profile, horizon,
+                                _replication_rng(seed, rep))
+            flags, _ = adjudicate(trace)
+            correct += flags
+            sign = 1.0 if trace.state == STATE_HIGH else -1.0
+            for i, tau in enumerate(trace.times):
+                if not is_never(tau):
+                    shard[i] += (delta ** tau) * sign
+            truncated += trace.truncated
+            quiescent += trace.quiescent_at is not None
+        util = util + np.array(shard)
+    p_hat = correct / n_reps
+    return (tuple(float(v) for v in p_hat),
+            tuple(float(v) for v in 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / n_reps)),
+            tuple(float(v) for v in util / n_reps),
+            truncated / n_reps, quiescent / n_reps)
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_estimate_tally_matches_per_replication_reference(case, jobs):
+    network, model, profile, horizon = _tally_cases()[case]
+    report = estimate(network, model, profile, horizon, 0.9, 301, 5, jobs=jobs)
+    p_hat, ci, utility, truncated, quiescent = _reference_estimate(
+        network, model, profile, horizon, 0.9, 301, 5, jobs)
+    assert report.p_hat == p_hat
+    assert report.ci == ci
+    assert repr(report.utility) == repr(utility)
+    assert report.truncated_fraction == truncated
+    assert report.quiescent_fraction == quiescent
+
+
+def test_tally_cases_cover_truncation_quiescence_and_late_adoption():
+    seen = set()
+    for network, model, profile, horizon in _tally_cases():
+        for rep in range(50):
+            trace = run_profile(network, model, profile, horizon,
+                                _replication_rng(5, rep))
+            seen.add("truncated" if trace.truncated else "quiescent"
+                     if trace.quiescent_at is not None else "full")
+            seen.update(f"at {tau}" for tau in trace.times if not is_never(tau))
+    assert {"truncated", "quiescent", "at 0", "at 1", "at 2"} <= seen
+
+
+def test_engine_traces_keep_times_in_range():
+    for network, model, profile, horizon in _tally_cases():
+        plan = _RunPlan(network, model, profile)
+        for h in range(horizon + 1):
+            for rep in range(20):
+                trace = run_profile(network, model, profile, h,
+                                    _replication_rng(3, rep), _plan=plan)
+                assert all(is_never(tau) or 0 <= tau <= h for tau in trace.times)
+                assert sorted(plan.adopters) == [
+                    i for i, tau in enumerate(trace.times) if not is_never(tau)]
+                assert [trace.times[i] for i in plan.adopters] == sorted(
+                    trace.times[i] for i in plan.adopters)
+                # the same fields pass the check of a trace built outside
+                assert ActionTrace(**asdict(trace)) == trace
+
+
+def test_action_trace_checks_times_built_outside_the_engine():
+    kwargs = dict(horizon=2, state=STATE_HIGH, atoms=(0, 0), beliefs=(0.75, 0.75),
+                  truncated=False)
+    trace = ActionTrace(times=(0, NEVER), **kwargs)
+    assert ActionTrace(times=(2, NEVER), **kwargs).times == (2, NEVER)
+    for times in ((3, NEVER), (-1, 0)):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            ActionTrace(times=times, **kwargs)
+    with pytest.raises(ValueError, match="outside 0..0"):
+        replace(trace, times=(1, 0), horizon=0)
 
 
 @pytest.fixture

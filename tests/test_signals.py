@@ -76,6 +76,25 @@ def test_sample_atoms_deterministic():
     assert set(a1.tolist()) <= {0, 1}
 
 
+@pytest.mark.parametrize("model", [
+    binary_model(Fraction(3, 5)),
+    SignalModel(atoms=((Fraction(1, 2), Fraction(1, 6)),
+                       (Fraction(1, 3), Fraction(1, 3)),
+                       (Fraction(1, 6), Fraction(1, 2)))),
+    grid_model(101),
+], ids=["2 atoms", "3 atoms", "101 atoms"])
+@pytest.mark.parametrize("size", [0, 1, 101])
+@pytest.mark.parametrize("state", [STATE_HIGH, STATE_LOW])
+def test_sample_atoms_equals_generator_choice(model, size, state):
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        atoms = sample_atoms(model, state, size, rng)
+        expected = ref.choice(model.n_atoms, size, p=model._float_probs(state))
+        assert atoms.dtype == expected.dtype
+        assert atoms.tolist() == expected.tolist()
+        assert rng.random() == ref.random()  # the same stream position
+
+
 def test_sample_atoms_matches_likelihood():
     m = binary_model(Fraction(9, 10))
     atoms = sample_atoms(m, STATE_LOW, 20000, np.random.default_rng(5))
