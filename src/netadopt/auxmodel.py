@@ -319,13 +319,13 @@ class CUpperEstimate:
 
     eps: float
     value: float
-    minimizer: Mu
-    argmax: RootStrategySpec
     n_samples: int
     n_accepted: int
     n_rejected: int
     n_below_one: int
     descent_improvement: float
+    minimizer: Mu
+    argmax: RootStrategySpec
 
 
 def default_sampler(delta: float = 0.5, n_powers: int = 8) -> Callable:

@@ -10,14 +10,14 @@ counterpart so the inequalities can be tested rather than trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .common import NEVER, TruncationError, as_fraction, is_never
-from .networks import Network
+from .networks import Network, _reachable_within
 from .signals import SignalModel
 
 
@@ -416,12 +416,12 @@ class ChiReport:
     eps: float
     target: float
     n_pairs: int
-    violations: tuple[tuple[float, float], ...] = ()
     mean_high: Optional[float] = None
     mean_low: Optional[float] = None
     rho: Optional[float] = None
     rho_prime: Optional[float] = None
     m_min: Optional[int] = None
+    violations: tuple[tuple[float, float], ...] = ()
 
 
 def _chi_region_extrema(eps: float, grid_step: float) -> tuple[float, float]:
@@ -577,24 +577,6 @@ def _myopic_value(model: SignalModel) -> Fraction:
     return value
 
 
-def _reachable_within(network: Network, agent: int, radius: int) -> dict:
-    """Distance from agent, along observation edges, of every agent at most
-    radius away (agent itself at 0)."""
-    dist = {agent: 0}
-    frontier = [agent]
-    for d in range(1, radius + 1):
-        nxt = []
-        for i in frontier:
-            for j in network.out_neighbors(i):
-                if j not in dist:
-                    dist[j] = d
-                    nxt.append(j)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
-
-
 def impatience_bound(
     network: Network,
     model: SignalModel,
@@ -689,15 +671,9 @@ def bound_report(
     if adopt_probs is None:
         report["chi"] = None
     else:
-        chi = chi_stats(adopt_probs, eps, target=target)
+        chi = asdict(chi_stats(adopt_probs, eps, target=target))
+        for key in ("eps", "target", "n_pairs"):  # inputs carries these
+            del chi[key]
         report["inputs"]["adopt_probs"] = [list(pair) for pair in adopt_probs]
-        report["chi"] = {
-            "applicable": chi.applicable,
-            "mean_high": chi.mean_high,
-            "mean_low": chi.mean_low,
-            "rho": chi.rho,
-            "rho_prime": chi.rho_prime,
-            "m_min": chi.m_min,
-            "violations": [list(pair) for pair in chi.violations],
-        }
+        report["chi"] = chi
     return report

@@ -30,7 +30,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -50,21 +50,14 @@ from .auxmodel import (
 from .bounds import bound_report
 from .common import (RegimeError, as_bool, as_fraction, as_int, is_never,
                      spec_value)
-from .engine import (_normalize_profile, _replication_rng, estimate,
-                     outsider_posterior, run_profile, sigma_ring_estimate,
-                     sigma_ring_replication)
+from .engine import (_replication_rng, estimate, outsider_posterior,
+                     run_profile, sigma_ring_estimate, sigma_ring_replication)
 from .networks import build_line, network_from_spec
 from .signals import binary_model, signal_model_from_spec
 from .solver import (ScenarioBudgetError, SolveConfig, solve_equilibrium,
                      verify_spontaneous_example, verify_structure)
-from .strategies import (ProtocolSigma, ThresholdRule, myopic_rule,
-                         strategy_from_spec)
-
-KINDS = ("simulate", "solve", "verify-spontaneous", "bounds", "auxmodel",
-         "protocol-sigma", "outsider")
-
-_CONFIG_KEYS = {"kind", "seed", "network", "signal", "strategy", "delta",
-                "horizon", "replications", "jobs", "out", "params"}
+from .strategies import (ProtocolSigma, ThresholdRule, _normalize_profile,
+                         myopic_rule, strategy_from_spec)
 
 _CSV_FIELDS = ("run_id", "agent", "p_hat", "ci", "utility",
                "truncated_fraction")
@@ -114,7 +107,7 @@ class ExperimentConfig:
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError("params must be a JSON object")
-        jobs = _int_field(raw, "jobs")
+        jobs = _int_field(raw, "jobs", minimum=1)
         spec_value(raw, "delta", "", as_fraction, None)  # checked, kept as is
         return cls(
             kind=kind,
@@ -145,6 +138,9 @@ class ExperimentConfig:
             return value if convert is None or value is None else convert(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"params.{name}: {exc}") from None
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 @contextmanager
@@ -249,10 +245,6 @@ def _build_profile(config: ExperimentConfig, network, model):
         return strategy_from_spec(spec, model, config.delta)
 
 
-def _checks_dict(checks) -> dict | None:
-    return None if checks is None else asdict(checks)
-
-
 def _solve(network, model, config: ExperimentConfig):
     """solve_equilibrium, reporting a scenario budget overrun as a
     ConfigError that names the fields setting how many runs are live."""
@@ -297,9 +289,8 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
     if solve_report is not None:
         report["solve"] = {"sweeps": solve_report.sweeps,
                            "horizon_used": solve_report.horizon_used,
-                           "checks": _checks_dict(solve_report.checks)}
-        if solve_report.checks is not None and not solve_report.checks.ok:
-            ok = False
+                           "checks": asdict(solve_report.checks)}
+        ok = solve_report.checks.ok
     if min_p is not None:
         report["min_p_hat"] = min_p
         report["focal_agent"] = focal
@@ -317,7 +308,7 @@ def _run_simulate(config: ExperimentConfig, verify: bool) -> _Outcome:
             except ScenarioBudgetError as exc:
                 report["verify"] = f"skipped: {exc}"
             else:
-                report["verify"] = _checks_dict(checks)
+                report["verify"] = asdict(checks)
                 ok = ok and checks.ok
     return _Outcome(report=report, ok=ok, csv_rows=rows, plot_rows=plot)
 
@@ -327,20 +318,12 @@ def _run_solve(config: ExperimentConfig, verify: bool) -> _Outcome:
     network = _network(config.network)
     model = _signal_model(config.signal)
     result = _solve(network, model, config)
-    report = {
-        "converged": result.converged,
-        "sweeps": result.sweeps,
-        "residual": result.residual,
-        "cycle_length": result.cycle_length,
-        "horizon_used": result.horizon_used,
-        "horizon_stabilized": result.horizon_stabilized,
-        "mixed": result.mixed,
-        "checks": _checks_dict(result.checks),
-        "thresholds": {str(i): rule.to_text()
-                       for i, rule in sorted(result.profile.items())}
-        if result.converged else None,
-    }
-    ok = result.converged and (result.checks is None or result.checks.ok)
+    report = asdict(replace(result, profile=None))  # no deep copy of the rules
+    del report["profile"]
+    report["thresholds"] = ({str(i): rule.to_text()
+                             for i, rule in sorted(result.profile.items())}
+                            if result.converged else None)
+    ok = result.converged and result.checks.ok
     return _Outcome(report=report, ok=ok)
 
 
@@ -416,17 +399,9 @@ def _run_auxmodel(config: ExperimentConfig, verify: bool) -> _Outcome:
     with _section("params.eps" if not 0 < eps < 1 else "params.eps, replications"):
         result = estimate_C_eps(eps, model, sampler, n,
                                 rng=np.random.default_rng(config.seed))
-    report = {
-        "eps": result.eps,
-        "value": result.value,
-        "n_samples": result.n_samples,
-        "n_accepted": result.n_accepted,
-        "n_rejected": result.n_rejected,
-        "n_below_one": result.n_below_one,
-        "descent_improvement": result.descent_improvement,
-        "minimizer": result.minimizer.to_json_dict(),
-        "argmax": {"family": result.argmax.family, "r": str(result.argmax.r)},
-    }
+    report = asdict(result)
+    report["minimizer"] = result.minimizer.to_json_dict()
+    report["argmax"]["r"] = str(result.argmax.r)
     return _Outcome(report=report, ok=result.n_below_one == 0 and result.value > 1)
 
 
@@ -502,6 +477,7 @@ _HANDLERS = {
     "protocol-sigma": _run_protocol_sigma,
     "outsider": _run_outsider,
 }
+KINDS = tuple(_HANDLERS)
 
 
 def run(config_path, *, seed=None, out=None, jobs=None, verify=False) -> int:

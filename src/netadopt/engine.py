@@ -23,54 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .common import (NEVER, STATE_HIGH, STATE_LOW, StrategyViolationError,
-                     as_fraction, is_never)
+from .common import NEVER, STATE_HIGH, STATE_LOW, as_fraction, is_never
 from .signals import SignalModel, binary_model, sample_atoms
-from .strategies import _check_protocol_k
+from .strategies import (DecisionContext, NeighborTimes, _check_protocol_k,
+                         _deadline, _normalize_profile, _record_adoptions)
 
 _LLR_CLAMP = math.log(1e9)
 _QUIET = object()  # the history part of an agent that has had no cue
-
-
-class NeighborTimes:
-    """Read-only view of observed neighbors' adoption times.
-
-    Indexing by an agent the owner does not observe raises
-    StrategyViolationError; this is the guard that keeps strategies honest
-    about their information sets.  Non-adopted neighbors read as NEVER.
-    """
-
-    __slots__ = ("neighbors", "_allowed", "_times")
-
-    def __init__(self, neighbors, times):
-        self.neighbors = neighbors
-        self._allowed = frozenset(neighbors)
-        self._times = times
-
-    def __getitem__(self, j):
-        if j not in self._allowed:
-            raise StrategyViolationError(
-                f"strategy consulted agent {j}, which is not observed"
-            )
-        return self._times[j]
-
-    def adopted_before(self, t) -> tuple:
-        """Neighbors with adoption time strictly before period t."""
-        return tuple(j for j in self.neighbors if self._times[j] < t)
-
-
-class DecisionContext:
-    """Everything a strategy may see when deciding in one period."""
-
-    __slots__ = ("agent", "period", "atom", "belief", "times", "network")
-
-    def __init__(self, agent, period, atom, belief, times, network):
-        self.agent = agent
-        self.period = period
-        self.atom = atom
-        self.belief = belief
-        self.times = times
-        self.network = network
 
 
 @dataclass(frozen=True)
@@ -93,36 +52,6 @@ class ActionTrace:
         for tau in self.times:
             if not is_never(tau) and not (0 <= tau <= self.horizon):
                 raise ValueError(f"adoption time {tau} outside 0..{self.horizon}")
-
-
-def _normalize_profile(network, profile) -> list:
-    if hasattr(profile, "adopt_probability"):
-        return [profile] * network.n
-    strategies = []
-    for i in network.agents:
-        try:
-            strategies.append(profile[i])
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"profile has no strategy for agent {i}") from exc
-    return strategies
-
-
-def _deadline(spont, lag, cue) -> float:
-    """Last period an agent may adopt in: max(spont, cue + lag), inf if lag is
-    None, from its strategy's spontaneous_until and max_reaction_lag and the
-    latest adoption cue among the agents it observes (-inf before any)."""
-    return math.inf if lag is None else max(spont, cue + lag)
-
-
-def _record_adoptions(observers, times, deadline, spont, lag, adopting, t) -> set:
-    """Record the period-t adoptions in times; return the agents they cue,
-    non-adopters in an adopter i's observers[i], with deadlines moved to t."""
-    for i in adopting:
-        times[i] = t
-    cued = {w for i in adopting for w in observers[i] if times[w] == NEVER}
-    for w in cued:
-        deadline[w] = _deadline(spont[w], lag[w], t)
-    return cued
 
 
 class _RunPlan:

@@ -24,7 +24,9 @@ class Network:
     # Degree-1 vertices of a truncation that stand for rays extending to
     # infinity in the idealized network.  Only these count as "ends".
     infinite_leaves: frozenset = frozenset()
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
+    # Agent -> its out- and in-neighbors, ascending, built from edges.
+    _out: dict = field(init=False, repr=False, compare=False)
+    _in: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -39,6 +41,12 @@ class Network:
         bad = [v for v in self.infinite_leaves if not 0 <= v < self.n]
         if bad:
             raise ValueError(f"infinite-leaf markers out of range: {bad}")
+        out, inc = ([[] for _ in self.agents] for _ in range(2))
+        for u, v in sorted(edges):
+            out[u].append(v)
+            inc[v].append(u)
+        object.__setattr__(self, "_out", dict(enumerate(map(tuple, out))))
+        object.__setattr__(self, "_in", dict(enumerate(map(tuple, inc))))
 
     @property
     def agents(self) -> range:
@@ -46,21 +54,11 @@ class Network:
 
     def out_neighbors(self, i: int) -> tuple:
         """Agents that agent i observes."""
-        if "out" not in self._adj:
-            out = {a: [] for a in self.agents}
-            for u, v in sorted(self.edges):
-                out[u].append(v)
-            self._adj["out"] = {a: tuple(vs) for a, vs in out.items()}
-        return self._adj["out"][i]
+        return self._out[i]
 
     def in_neighbors(self, j: int) -> tuple:
         """Agents that observe agent j."""
-        if "in" not in self._adj:
-            inc = {a: [] for a in self.agents}
-            for u, v in sorted(self.edges):
-                inc[v].append(u)
-            self._adj["in"] = {a: tuple(vs) for a, vs in inc.items()}
-        return self._adj["in"][j]
+        return self._in[j]
 
     def is_undirected(self) -> bool:
         return all((j, i) in self.edges for i, j in self.edges)
@@ -70,6 +68,24 @@ class Network:
         g.add_nodes_from(self.agents)
         g.add_edges_from(self.edges)
         return g
+
+
+def _reachable_within(network: Network, agent: int, radius: int) -> dict:
+    """Distance from agent, along observation edges, of every agent at most
+    radius away (agent itself at 0)."""
+    dist = {agent: 0}
+    frontier = [agent]
+    for d in range(1, radius + 1):
+        nxt = []
+        for i in frontier:
+            for j in network.out_neighbors(i):
+                if j not in dist:
+                    dist[j] = d
+                    nxt.append(j)
+        if not nxt:
+            break
+        frontier = nxt
+    return dist
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ class SignalModel:
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
-    _floats: dict = field(default_factory=dict, repr=False, compare=False)
+    _floats: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
@@ -47,6 +47,7 @@ class SignalModel:
                 )
             norm.append((lh, ll))
         object.__setattr__(self, "atoms", tuple(norm))
+        object.__setattr__(self, "_floats", {})
         for idx, total in enumerate((self.sum_high, self.sum_low)):
             if abs(total - 1) > _SUM_TOL:
                 state = ("H", "L")[idx]

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import _reachable_within
 from .common import (
     NEVER,
     STATE_HIGH,
@@ -33,28 +30,25 @@ from .common import (
     as_fraction,
     is_never,
 )
-from .engine import (
-    DecisionContext,
-    NeighborTimes,
-    _deadline,
-    _normalize_profile,
-    _record_adoptions,
-    run_profile,
-)
 from .networks import (
+    _reachable_within,
     analyze,
     build_spontaneous_example,
     spontaneous_example_groups,
 )
 from .signals import SignalModel, binary_model
-from .strategies import (FollowRule, HALF, Strategy, ThresholdRule,
-                         history_key_to_text, myopic_rule)
+from .strategies import (HALF, DecisionContext, FollowRule, NeighborTimes,
+                         Strategy, ThresholdRule, _deadline, _normalize_profile,
+                         _record_adoptions, history_key_to_text, myopic_rule)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Grid of mixing probabilities tried after a best-response cycle.
 MIXING_GRID_STEP = Fraction(1, 64)
+
+# Default cap on the live states of one enumeration (ScenarioBudgetError).
+MAX_SCENARIOS = 200_000
 
 
 class ScenarioBudgetError(ValueError):
@@ -68,7 +62,7 @@ class SolveConfig:
     delta: Fraction
     horizon: int
     max_sweeps: int = 40
-    max_scenarios: int = 200_000
+    max_scenarios: int = MAX_SCENARIOS
     raise_horizon: bool = False
     max_horizon: int = 24
 
@@ -118,7 +112,7 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
     factors p * mass(sub) / mass(mask) telescope, so a numerator holds the
     mixing factors and the masses of the agents that adopted or expired,
     and open masks are multiplied in when a weight is read.  A state also
-    carries the deadlines (engine._deadline), which its times determine.
+    carries the deadlines (_deadline), which its times determine.
     Returns (finished, tree, den): the numerators of each run by time vector
     and, when an agent is frozen, of each history key (t, pairs), t <= horizon.
     """
@@ -248,7 +242,7 @@ def _expand(network, model, profile, horizon, frozen, max_scenarios):
 
 def enumerate_scenarios(network, model: SignalModel, profile, horizon: int,
                         frozen: int | None = None,
-                        max_scenarios: int = 200_000) -> list:
+                        max_scenarios: int = MAX_SCENARIOS) -> list:
     """All positive-probability runs of the profile (see _expand), one
     Scenario per time vector, with exact weights that sum to one per state.
 
@@ -311,7 +305,7 @@ def exact_posterior(network, model: SignalModel, profile, agent: int,
     tree, _ = _history_tree(
         network, model, profile, agent,
         max(t, config.horizon if config else t),
-        config.max_scenarios if config else 200_000)
+        config.max_scenarios if config else MAX_SCENARIOS)
     key = (t, tuple(sorted((int(j), int(tau)) for j, tau in pairs)))
     weight_high, weight_low = tree.get(key, (ZERO, ZERO))
     if weight_high == 0 and weight_low == 0:
@@ -502,8 +496,8 @@ class EquilibriumReport:
     cycle_length: int | None
     horizon_used: int
     horizon_stabilized: bool | None
-    checks: StructureChecks | None
     mixed: bool = False
+    checks: StructureChecks | None = None
 
 
 def _profile_residual(old: dict, new: dict) -> float:
@@ -594,7 +588,6 @@ def _sweep(network, model, config, initial) -> EquilibriumReport:
         cycle_length=cycle_length,
         horizon_used=config.horizon,
         horizon_stabilized=None,
-        checks=None,
         mixed=mixed,
     )
 
@@ -759,6 +752,10 @@ def verify_spontaneous_example(q, delta) -> SpontaneousReport:
     Raises RegimeError when delta is too small for deferral to beat
     immediate adoption at a deferring agent with a high signal.
     """
+    import numpy as np
+
+    from .engine import run_profile
+
     qf = as_fraction(q)
     df = as_fraction(delta)
     if not HALF < qf < 1:

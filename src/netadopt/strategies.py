@@ -1,5 +1,6 @@
-"""Executable strategies: threshold tables, the staged line protocol, and
-two-child root rules mapped from continuous adoption scores.
+"""The decision protocol and executable strategies: threshold tables, the
+staged line protocol, and two-child root rules mapped from continuous
+adoption scores.
 
 A strategy answers adopt_probability(ctx) with the chance it adopts in the
 current period, given its own belief and the adoption times of observed
@@ -16,15 +17,23 @@ engine and the solver ask in each period, and when a run ends:
 
 An agent past both limits (its deadline) is not asked at all, so a strategy
 that under-declares them is skipped in periods where it would have adopted.
+
+The engine and the solver run the one protocol defined here: a strategy is
+asked with a DecisionContext whose NeighborTimes view guards its
+information set, _deadline gives an agent's deadline, and
+_record_adoptions files one period's adoptions and moves the deadlines of
+the agents they cue.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .common import NEVER, as_fraction, as_int, is_never, spec_value
+from .common import (NEVER, StrategyViolationError, as_fraction, as_int,
+                     is_never, spec_value)
 
 HALF = Fraction(1, 2)
 
@@ -47,6 +56,77 @@ class Strategy:
         every agent holding this object: history() holds the agent if the
         answer depends on it."""
         return None
+
+
+class NeighborTimes:
+    """Read-only view of observed neighbors' adoption times.
+
+    Indexing by an agent the owner does not observe raises
+    StrategyViolationError; this is the guard that keeps strategies honest
+    about their information sets.  Non-adopted neighbors read as NEVER.
+    """
+
+    __slots__ = ("neighbors", "_allowed", "_times")
+
+    def __init__(self, neighbors, times):
+        self.neighbors = neighbors
+        self._allowed = frozenset(neighbors)
+        self._times = times
+
+    def __getitem__(self, j):
+        if j not in self._allowed:
+            raise StrategyViolationError(
+                f"strategy consulted agent {j}, which is not observed"
+            )
+        return self._times[j]
+
+    def adopted_before(self, t) -> tuple:
+        """Neighbors with adoption time strictly before period t."""
+        return tuple(j for j in self.neighbors if self._times[j] < t)
+
+
+class DecisionContext:
+    """Everything a strategy may see when deciding in one period."""
+
+    __slots__ = ("agent", "period", "atom", "belief", "times", "network")
+
+    def __init__(self, agent, period, atom, belief, times, network):
+        self.agent = agent
+        self.period = period
+        self.atom = atom
+        self.belief = belief
+        self.times = times
+        self.network = network
+
+
+def _normalize_profile(network, profile) -> list:
+    if hasattr(profile, "adopt_probability"):
+        return [profile] * network.n
+    strategies = []
+    for i in network.agents:
+        try:
+            strategies.append(profile[i])
+        except (KeyError, IndexError) as exc:
+            raise ValueError(f"profile has no strategy for agent {i}") from exc
+    return strategies
+
+
+def _deadline(spont, lag, cue) -> float:
+    """Last period an agent may adopt in: max(spont, cue + lag), inf if lag is
+    None, from its strategy's spontaneous_until and max_reaction_lag and the
+    latest adoption cue among the agents it observes (-inf before any)."""
+    return math.inf if lag is None else max(spont, cue + lag)
+
+
+def _record_adoptions(observers, times, deadline, spont, lag, adopting, t) -> set:
+    """Record the period-t adoptions in times; return the agents they cue,
+    non-adopters in an adopter i's observers[i], with deadlines moved to t."""
+    for i in adopting:
+        times[i] = t
+    cued = {w for i in adopting for w in observers[i] if times[w] == NEVER}
+    for w in cued:
+        deadline[w] = _deadline(spont[w], lag[w], t)
+    return cued
 
 
 def canonical_history(neighbors, times, t) -> tuple:
@@ -354,16 +434,6 @@ def grid_index_of_time(r, delta):
             stacklevel=2,
         )
     return m
-
-
-def _aux_action_raw(family: int, r, t1, t2, belief_high: bool):
-    # The family rules' continuous-time adoption score, without coercion:
-    # the double-loop oracle of psi in the tests reads it per grid pair.
-    if family == 1:
-        return t1 if t1 > r else max(t2, r)
-    if family == 2:
-        return r if (t1 > r and t2 <= r and belief_high) else t1
-    raise ValueError(f"family must be 1 or 2, got {family!r}")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ import functools
 import math
 from fractions import Fraction
 
-from netadopt.bounds import _reachable_within
 from netadopt.common import NEVER, as_fraction
-from netadopt.engine import DecisionContext, NeighborTimes, _normalize_profile
+from netadopt.networks import _reachable_within
 from netadopt.solver import Scenario, ScenarioBudgetError
-from netadopt.strategies import canonical_history
+from netadopt.strategies import (DecisionContext, NeighborTimes,
+                                 _normalize_profile, canonical_history)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

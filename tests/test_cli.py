@@ -657,3 +657,36 @@ def test_clamped_log_ratios_are_listed_in_order(tmp_path, monkeypatch):
     expected = [f"agent {i}: zero likelihood under H; log-ratio clamped"
                 for i in holdouts]
     assert report["warnings"] == shown == expected
+
+
+def test_report_key_orders_are_pinned(tmp_path):
+    """Reports are built from their dataclasses, so a reordered field would
+    reorder results.json; these orders are the artifacts' bytes."""
+    def report(name, payload):
+        out = tmp_path / name
+        assert run(write_config(tmp_path, f"{name}.json", payload), out=out) == 0
+        return read_json(out, "results.json")
+
+    solved = report("solve", {"kind": "solve", "seed": 1,
+                              "network": {"line": {"n": 2, "directed": True}},
+                              "signal": {"binary": 0.75}, "delta": 0.9,
+                              "horizon": 2})
+    assert list(solved) == ["converged", "sweeps", "residual", "cycle_length",
+                            "horizon_used", "horizon_stabilized", "mixed",
+                            "checks", "thresholds", "ok", "warnings"]
+    assert list(solved["checks"]) == ["threshold_form_ok", "state_monotone_ok",
+                                      "no_spontaneous_ok", "violations",
+                                      "scenario_count"]
+    estimated = report("aux", {"kind": "auxmodel", "seed": 4, "replications": 40,
+                               "signal": {"binary": 0.75}, "params": {"eps": 0.1}})
+    assert list(estimated) == ["eps", "value", "n_samples", "n_accepted",
+                               "n_rejected", "n_below_one",
+                               "descent_improvement", "minimizer", "argmax",
+                               "ok", "warnings"]
+    assert list(estimated["argmax"]) == ["family", "r"]
+    assert isinstance(estimated["argmax"]["r"], str)
+    bounded = report("bounds", {"kind": "bounds", "seed": 1,
+                                "params": {"eps": 0.2, "m": 2,
+                                           "adopt_probs": [[0.75, 0.25]]}})
+    assert list(bounded["chi"]) == ["applicable", "mean_high", "mean_low", "rho",
+                                    "rho_prime", "m_min", "violations"]

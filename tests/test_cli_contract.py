@@ -55,7 +55,7 @@ FIELDS = {
          5)),
     "delta": ((0.9, "9/10", 0.99, 0.5), (0, 1.5, "x", [1], True)),
     "horizon": ((0, 1, 2, 3, 5), (-1, "3", 2.5, "x", True)),
-    "jobs": ((1, 4), ("x", True)),
+    "jobs": ((1, 4), ("x", True, 0, -3)),
 }
 MU = {"grid": ["0", "1/2", "1"], "mass_high": ["1/2", "1/4", "1/4"],
       "mass_low": ["1/4", "1/4", "1/2"]}
@@ -226,6 +226,27 @@ def test_bad_config_fields_are_named(tmp_path, fields, named):
     code, err = _exit_and_error(tmp_path, **fields)
     assert code == 2
     assert err.startswith("error: ") and named in err, err
+
+
+@pytest.mark.parametrize("jobs, flags, env", [
+    (0, [], None), (-3, [], None), (None, ["--jobs", "0"], None),
+    (2, ["--jobs", "-3"], None), (None, [], "0"),
+])
+def test_jobs_below_one_is_named(tmp_path, monkeypatch, jobs, flags, env):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE if jobs is None else {**BASE, "jobs": jobs}))
+    if env is None:
+        monkeypatch.delenv("SDL_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("SDL_JOBS", env)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")]
+                    + flags)
+    assert code == 2
+    assert err.getvalue().startswith("error: jobs must be >= 1, got ")
+    assert len(err.getvalue().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_floats_still_read_as_integers(tmp_path):

@@ -15,15 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netadopt.common import as_fraction, is_never
-from netadopt.engine import DecisionContext, NeighborTimes, _normalize_profile
 from netadopt.networks import Network, analyze, build_line
 from netadopt.signals import binary_model, grid_model
 from netadopt.solver import (SolveConfig, StructureChecks, _is_threshold_shape,
                              enumerate_scenarios, exact_posterior,
                              verify_structure)
-from netadopt.strategies import (AuxRootRule, CenterBayesRule, FollowRule,
+from netadopt.strategies import (AuxRootRule, CenterBayesRule,
+                                 DecisionContext, FollowRule, NeighborTimes,
                                  RootStrategySpec, Strategy, ThresholdRule,
-                                 canonical_history, myopic_rule)
+                                 _normalize_profile, canonical_history,
+                                 myopic_rule)
 
 BINARY = binary_model(Fraction(3, 4))
 GRID = grid_model(3)

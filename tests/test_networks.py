@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from netadopt.networks import (
@@ -118,3 +120,14 @@ def test_network_from_spec():
 def test_network_validates_edges():
     with pytest.raises(ValueError):
         Network(n=2, edges=frozenset({(0, 5)}))
+
+
+def test_replaced_edges_give_new_neighbors():
+    line = build_line(3, directed=True)  # 1 observes 0, 2 observes 1
+    assert line.out_neighbors(1) == (0,) and line.in_neighbors(1) == (2,)
+    flipped = replace(line, edges=frozenset({(0, 1), (1, 2)}))
+    assert [flipped.out_neighbors(i) for i in flipped.agents] == [(1,), (2,), ()]
+    assert [flipped.in_neighbors(i) for i in flipped.agents] == [(), (0,), (1,)]
+    assert line.out_neighbors(1) == (0,) and line.in_neighbors(1) == (2,)
+    with pytest.raises(KeyError):  # an agent outside 0..n-1 does not wrap
+        flipped.out_neighbors(-1)

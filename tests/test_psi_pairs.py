@@ -12,6 +12,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from netadopt.auxmodel import (Mu, PsiResult, RootStrategySpec,
                                psi, w_mu)
 from netadopt.common import as_fraction
 from netadopt.signals import SignalModel, binary_model
-from netadopt.strategies import _aux_action_raw
 
 # Three atoms, the middle one uninformative: its belief is exactly 1/2,
 # which does not count as a high own signal.
@@ -30,6 +30,32 @@ THREE_ATOMS = SignalModel(atoms=(
     (Fraction(1, 4), Fraction(1, 2)),
 ))
 MODELS = (binary_model(Fraction(3, 4)), binary_model(0.6), THREE_ATOMS)
+
+
+def _aux_action_raw(family: int, r, t1, t2, belief_high: bool):
+    """The family rules' continuous-time adoption score, without coercion,
+    read by the double loop below once per grid pair."""
+    if family == 1:
+        return t1 if t1 > r else max(t2, r)
+    if family == 2:
+        return r if (t1 > r and t2 <= r and belief_high) else t1
+    raise ValueError(f"family must be 1 or 2, got {family!r}")
+
+
+def test_aux_family_action_cases():
+    r = Fraction(1, 2)
+    late, early = Fraction(3, 4), Fraction(1, 4)
+    # family 1: copy a late first child, else wait for max(t2, r)
+    assert _aux_action_raw(1, r, late, early, True) == late
+    assert _aux_action_raw(1, r, early, late, True) == late
+    assert _aux_action_raw(1, r, early, early, True) == r
+    # family 2: jump at r only on (late, early, high belief)
+    assert _aux_action_raw(2, r, late, early, True) == r
+    assert _aux_action_raw(2, r, late, early, False) == late
+    assert _aux_action_raw(2, r, late, late, True) == late
+    assert _aux_action_raw(2, r, early, early, True) == early
+    with pytest.raises(ValueError, match="family"):
+        _aux_action_raw(3, r, early, late, True)
 
 
 def _w_on_grid_loop(mu, family, r, signal_split):

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 from netadopt import solver
 from netadopt.common import NEVER, as_fraction, is_never
-from netadopt.engine import DecisionContext, NeighborTimes, _normalize_profile
 from netadopt.networks import Network, build_directed_tree, build_line
 from netadopt.signals import binary_model, grid_model
 from netadopt.solver import SolveConfig, best_response, enumerate_scenarios
-from netadopt.strategies import (ThresholdRule, canonical_history,
-                                 follow_tree_neighbors, myopic_rule)
+from netadopt.strategies import (DecisionContext, NeighborTimes,
+                                 ThresholdRule, _normalize_profile,
+                                 canonical_history, follow_tree_neighbors,
+                                 myopic_rule)
 from solver_oracle import active_agents, history_tree_oracle, record_adoptions
 
 BINARY = binary_model(Fraction(3, 4))

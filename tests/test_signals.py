@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,23 @@ def test_sample_atoms_equals_generator_choice(model, size, state):
         assert atoms.dtype == expected.dtype
         assert atoms.tolist() == expected.tolist()
         assert rng.random() == ref.random()  # the same stream position
+
+
+@pytest.mark.parametrize("state", [STATE_HIGH, STATE_LOW])
+def test_replaced_atoms_give_new_float_views(state):
+    old = binary_model(Fraction(3, 4))
+    old.float_beliefs(), old._cdf(state)  # fill the old model's views
+    sample_atoms(old, state, 10, np.random.default_rng(0))
+    q = Fraction(99, 100)
+    new = replace(old, atoms=((q, 1 - q), (1 - q, q)))
+    assert new.float_beliefs().tolist() == [0.99, 0.01]
+    probs = np.array([float(lik) for lik in new.likelihoods(state)])
+    cdf = (probs / probs.sum()).cumsum()
+    assert new._cdf(state).tolist() == (cdf / cdf[-1]).tolist()
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    atoms = sample_atoms(new, state, 1000, rng)
+    assert atoms.tolist() == ref.choice(2, 1000, p=probs / probs.sum()).tolist()
+    assert old.float_beliefs().tolist() == [0.75, 0.25]
 
 
 def test_sample_atoms_matches_likelihood():

@@ -1,6 +1,8 @@
+import ast
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from netadopt.common import NEVER, STATE_HIGH, ImpossibleHistoryError, is_never
 from netadopt.engine import run_profile
 from netadopt.networks import build_line
 from netadopt.signals import binary_model
+from netadopt import solver
 from netadopt.solver import (
     SolveConfig,
     _profile_fingerprint,
@@ -333,3 +336,17 @@ def test_fingerprint_text_is_equal_exactly_when_the_tuples_are(pair):
     assert isinstance(_profile_fingerprint(a), str)
     assert ((_profile_fingerprint(a) == _profile_fingerprint(b))
             == (tuple_fingerprint(a) == tuple_fingerprint(b)))
+
+
+def test_solver_imports_no_engine_bounds_or_numpy_at_module_level():
+    # The solver and the engine are peers over the protocol in strategies.
+    tree = ast.parse(Path(solver.__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    assert names, "no module-level imports found"
+    assert not names & {".engine", ".bounds", "numpy", "netadopt.engine",
+                        "netadopt.bounds"}, sorted(names)

@@ -93,7 +93,7 @@ def test_deferring_rule_adopts_at_period_one_on_a_majority():
     # exactly when at least two of the three are high, and never at any
     # other period, for every anchor outcome and every atom.
     from netadopt.common import NEVER
-    from netadopt.engine import DecisionContext, NeighborTimes
+    from netadopt.strategies import DecisionContext, NeighborTimes
     from netadopt.signals import binary_model
     from netadopt.solver import _defer_majority_rule
 

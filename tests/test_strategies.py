@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from netadopt.common import NEVER, is_never
-from netadopt.engine import DecisionContext, NeighborTimes
 from netadopt.networks import build_line, build_star
 from netadopt.signals import binary_model
 from netadopt.strategies import (
     AuxRootRule,
     CenterBayesRule,
+    DecisionContext,
     FollowRule,
+    NeighborTimes,
     ProtocolSigma,
     RootStrategySpec,
     ThresholdRule,
@@ -17,7 +18,6 @@ from netadopt.strategies import (
     grid_index_of_time,
     myopic_rule,
     sigma_eta_k_step,
-    _aux_action_raw,
     strategy_from_spec,
 )
 
@@ -202,22 +202,6 @@ def test_protocol_sigma_validation():
 
 
 # ------------------------------------------------------------- root families
-
-def test_aux_family_action_cases():
-    r = Fraction(1, 2)
-    late, early = Fraction(3, 4), Fraction(1, 4)
-    # family 1: copy a late first child, else wait for max(t2, r)
-    assert _aux_action_raw(1, r, late, early, True) == late
-    assert _aux_action_raw(1, r, early, late, True) == late
-    assert _aux_action_raw(1, r, early, early, True) == r
-    # family 2: jump at r only on (late, early, high belief)
-    assert _aux_action_raw(2, r, late, early, True) == r
-    assert _aux_action_raw(2, r, late, early, False) == late
-    assert _aux_action_raw(2, r, late, late, True) == late
-    assert _aux_action_raw(2, r, early, early, True) == early
-    with pytest.raises(ValueError, match="family"):
-        _aux_action_raw(3, r, early, late, True)
-
 
 def test_grid_index_of_time():
     delta = Fraction(1, 2)
