@@ -59,7 +59,8 @@ class Mu:
         for masses in (high, low):
             if any(m < 0 for m in masses):
                 raise ValueError("masses must be nonnegative")
-            if abs(float(sum(masses)) - 1.0) > _SUM_TOL:
+            # Written so that a NaN mass, whose sum compares false, fails.
+            if not abs(float(sum(masses)) - 1.0) <= _SUM_TOL:
                 raise ValueError("masses must sum to one")
         if any(h < l for g, h, l in zip(grid, high, low) if g != 1):
             raise ValueError("high-state mass must dominate below 1")
@@ -170,6 +171,58 @@ def w_mu(mu: Mu, model: SignalModel, a: RootStrategySpec):
 # Most elements a (switch time x pair) temporary holds: switch times are
 # taken in blocks of this many elements, or one row at a time.
 _BLOCK_ELEMENTS = 1 << 16
+# Draws estimate_C_eps takes from its sampler before scoring them: the
+# block's accepted float laws on one grid share one padded array pass, and
+# the block bounds the memory that pass and the held draws use.
+_DRAW_BLOCK = 64
+
+
+def _is_float(mu: Mu) -> bool:
+    return all(isinstance(x, float)
+               for values in (mu.grid, mu.mass_high, mu.mass_low) for x in values)
+
+
+def _switch_rows(ks, n_points: int) -> np.ndarray:
+    """Switch-time indices ks, then one more row at the last grid point, 1.
+
+    There family 2 always copies child 1: that row is also its
+    low-own-signal branch, which does not depend on r.
+    """
+    return np.array(list(ks) + [n_points - 1], dtype=np.intp)
+
+
+def _act_indices(i, j, k) -> tuple:
+    """Grid index of the root's adoption time under family 1 and family 2.
+
+    Rows are switch-time indices k (a column), columns the pairs (i, j) of
+    the children's grid indices.  The grid ascends, so t > r is i > k.
+    """
+    late, j_late = i > k, j > k
+    return (np.where(late, i, np.where(j_late, j, k)),
+            # High own signal: adopt at r when only child 2 has adopted.
+            np.where(j_late, i, np.where(late, k, i)))
+
+
+def _family_weights(model: SignalModel, is_float: bool) -> list:
+    """Likelihoods of a high and of a not-high own signal, per state."""
+    p_high, p_low = _signal_split(model)
+    weights = [p_high, 1 - p_high, p_low, 1 - p_low]
+    # Fraction * float is float(Fraction) * float: the same bits.
+    return [float(w) for w in weights] if is_float else weights
+
+
+def _family_values(high, low, weights) -> tuple:
+    """Both families' values from each state's sums over _switch_rows.
+
+    high and low hold the (family 1, family 2) sums, switch times along the
+    last axis; family 2 mixes its r row with the last row by the own
+    signal's likelihoods.
+    """
+    (high_1, high_2), (low_1, low_2) = high, low
+    p_high, q_high, p_low, q_low = weights
+    return (high_1[..., :-1] - low_1[..., :-1],
+            (p_high * high_2[..., :-1] + q_high * high_2[..., -1:])
+            - (p_low * low_2[..., :-1] + q_low * low_2[..., -1:]))
 
 
 def _values_on_grid(mu: Mu, model: SignalModel, ks) -> tuple:
@@ -177,26 +230,18 @@ def _values_on_grid(mu: Mu, model: SignalModel, ks) -> tuple:
 
     Each state's value sums p * (1 - act) over the pairs (i, j) of
     nonzero-mass grid points, p the pair's mass product and act the root's
-    adoption time.  The grid ascends, so t > r is i > k, and one (switch
-    time x pair) table of act's grid index per state and family gives
-    every switch time at once.  cumsum adds each row left to right in the
-    row-major pair order of a double loop over the grid, so float values
-    are bit-identical to that loop; a law with any non-float entry uses
-    object arrays, which keep Python's arithmetic and stay exact.  O(G * P)
-    work for G switch times and P pairs, in blocks of bounded memory.
+    adoption time.  One (switch time x pair) table of act's grid index per
+    state and family gives every switch time at once.  cumsum adds each row
+    left to right in the row-major pair order of a double loop over the
+    grid, so float values are bit-identical to that loop; a law with any
+    non-float entry uses object arrays, which keep Python's arithmetic and
+    stay exact.  O(G * P) work for G switch times and P pairs, in blocks of
+    bounded memory.
     """
-    entries = (mu.grid, mu.mass_high, mu.mass_low)
-    is_float = all(isinstance(x, float) for values in entries for x in values)
+    is_float = _is_float(mu)
     dtype = float if is_float else object
-    p_high, p_low = _signal_split(model)
-    weights = [p_high, 1 - p_high, p_low, 1 - p_low]
-    if is_float:
-        # Fraction * float is float(Fraction) * float: the same bits.
-        weights = [float(w) for w in weights]
     one_minus = np.array([1 - t for t in mu.grid], dtype=dtype)
-    # At the last grid point, 1, family 2 always copies child 1: that row
-    # is also its low-own-signal branch, which does not depend on r.
-    ks = np.array(list(ks) + [len(mu.grid) - 1], dtype=np.intp)
+    rows = _switch_rows(ks, mu.n_points)
     branches = []
     for masses in (mu.mass_high, mu.mass_low):
         nz = [i for i, x in enumerate(masses) if x]
@@ -204,22 +249,46 @@ def _values_on_grid(mu: Mu, model: SignalModel, ks) -> tuple:
         j = np.tile(nz, len(nz))
         m = np.array(masses, dtype=dtype)
         p = np.take(m, i) * np.take(m, j)
-        sums = ([], [])
-        rows = max(1, _BLOCK_ELEMENTS // len(p))
-        for start in range(0, len(ks), rows):
-            k = ks[start:start + rows, None]
-            late, j_late = i > k, j > k
-            acts = (np.where(late, i, np.where(j_late, j, k)),
-                    # High own signal: adopt at r when only child 2 has adopted.
-                    np.where(j_late, i, np.where(late, k, i)))
+        sums = np.empty((2, len(rows)), dtype=dtype)
+        step = max(1, _BLOCK_ELEMENTS // len(p))
+        for start in range(0, len(rows), step):
+            acts = _act_indices(i, j, rows[start:start + step, None])
             for total, act in zip(sums, acts):
-                total += np.cumsum(p * np.take(one_minus, act), axis=1)[:, -1].tolist()
-        branches.append((sums[0][:-1], sums[1][:-1], sums[1][-1]))
-    (high_1, high_2, high_other), (low_1, low_2, low_other) = branches
-    p_high, q_high, p_low, q_low = weights
-    return ([h - l for h, l in zip(high_1, low_1)],
-            [(p_high * h + q_high * high_other) - (p_low * l + q_low * low_other)
-             for h, l in zip(high_2, low_2)])
+                total[start:start + step] = np.cumsum(
+                    p * np.take(one_minus, act), axis=1)[:, -1]
+        branches.append(sums)
+    values = _family_values(*branches, _family_weights(model, is_float))
+    return tuple(v.tolist() for v in values)
+
+
+def _padded_values(mus: Sequence[Mu], model: SignalModel) -> np.ndarray:
+    """Both families' values at every switch time, for float laws on one grid.
+
+    Row b holds law b's family 1 values, then its family 2 values, as psi
+    scans them.  Every law is padded to all G * G pairs of the grid in
+    row-major order.  A pair with a zero mass adds p * (1 - act) with
+    p = +-0.0 and 1 - act >= 0, a signed zero that leaves a float sum's
+    bits unchanged; so adding the pair columns left to right gives each law
+    the sums of its own _values_on_grid call, bit for bit.  Memory is
+    O(laws * G), one row of pair products at a time.
+    """
+    n = mus[0].n_points
+    i = np.repeat(np.arange(n), n)
+    j = np.tile(np.arange(n), n)
+    one_minus = np.array([1 - t for t in mus[0].grid])
+    # Family 1 rows, then family 2 rows; one column per pair.
+    om = np.take(one_minus, np.concatenate(
+        _act_indices(i, j, _switch_rows(range(n), n)[:, None])))
+    # High-state laws in the top rows, low-state laws below.
+    m = np.array([mu.mass_high for mu in mus] + [mu.mass_low for mu in mus])
+    total = np.zeros((len(m), len(om)))
+    for a in range(n):
+        p = m[:, a:a + 1] * m  # the products of the pairs (a, 0..G-1)
+        for b in range(n):
+            total += p[:, b:b + 1] * om[:, a * n + b]
+    high, low = (np.split(half, 2, axis=1) for half in np.split(total, 2))
+    return np.concatenate(
+        _family_values(high, low, _family_weights(model, True)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -372,6 +441,49 @@ def _mass_transfer(mu: Mu, which: str, src: int, dst: int, amount: float) -> Mu:
     return Mu(grid=mu.grid, mass_high=high, mass_low=low)
 
 
+def _accepted_utility(mu: Mu, eps):
+    """mu's utility if its error weight reaches eps and it is positive."""
+    util = u_of_mu(mu)
+    return None if eta_of_mu(mu) < eps or util <= 0 else util
+
+
+def _psi_ratio(mu: Mu, model: SignalModel, util) -> tuple:
+    """(psi/u ratio, argmax) of one law, or (None, None) if util is None."""
+    if util is None:
+        return None, None
+    result = psi(mu, model)
+    return float(result.value) / float(util), result.argmax
+
+
+def _block_ratios(draws, model: SignalModel, eps) -> list:
+    """(psi/u ratio, argmax) of each draw in order; (None, None) if rejected.
+
+    A draw is None when the sampler raised.  The accepted float laws that
+    share a grid are scored together by _padded_values, whose first-maximum
+    argmax is psi's tie order; every other accepted law goes through psi.
+    """
+    out = [(None, None)] * len(draws)
+    by_grid = {}
+    for b, mu in enumerate(draws):
+        util = None if mu is None else _accepted_utility(mu, eps)
+        if util is None:
+            continue
+        if _is_float(mu):
+            by_grid.setdefault(mu.grid, []).append((b, util))
+        else:
+            out[b] = _psi_ratio(mu, model, util)
+    for members in by_grid.values():
+        laws = [draws[b] for b, _ in members]
+        values = _padded_values(laws, model)
+        n_points = laws[0].n_points
+        for (b, util), row, mu in zip(members, values, laws):
+            best = int(np.argmax(row))
+            family, k = divmod(best, n_points)
+            out[b] = (float(row[best]) / float(util),
+                      RootStrategySpec(family=family + 1, r=mu.grid[k]))
+    return out
+
+
 def estimate_C_eps(
     eps: float,
     model: SignalModel,
@@ -389,6 +501,14 @@ def estimate_C_eps(
     an upper estimate of the true guaranteed factor: the sampler is not
     adversarial, so the real infimum could be lower (it provably stays
     above 1).
+
+    Only the sampler reads rng, so the sample is drawn _DRAW_BLOCK draws
+    at a time, in order from the same stream, and each block is scored by
+    _block_ratios: one padded array pass per grid for its float laws, psi
+    for the rest, every ratio bit-identical to psi's.  The block is then
+    scanned in draw order with the same rule, so the first smallest ratio
+    wins.  The descent draws between its evaluations and calls psi once per
+    trial law.
     """
     if not 0 < eps < 1:
         raise ValueError("error level eps must lie in (0, 1)")
@@ -396,34 +516,28 @@ def estimate_C_eps(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    def ratio_of(mu: Mu):
-        util = u_of_mu(mu)
-        if eta_of_mu(mu) < eps or util <= 0:
-            return None, None
-        result = psi(mu, model)
-        return float(result.value) / float(util), result.argmax
-
     best_ratio = None
     best_mu = None
     best_arg = None
     n_accepted = 0
     n_rejected = 0
     n_below_one = 0
-    for _ in range(n):
-        try:
-            mu = sampler(rng)
-        except ValueError:
-            n_rejected += 1
-            continue
-        ratio, argmax = ratio_of(mu)
-        if ratio is None:
-            n_rejected += 1
-            continue
-        n_accepted += 1
-        if ratio <= 1.0:
-            n_below_one += 1
-        if best_ratio is None or ratio < best_ratio:
-            best_ratio, best_mu, best_arg = ratio, mu, argmax
+    for start in range(0, n, _DRAW_BLOCK):
+        draws = []
+        for _ in range(min(_DRAW_BLOCK, n - start)):
+            try:
+                draws.append(sampler(rng))
+            except ValueError:
+                draws.append(None)
+        for mu, (ratio, argmax) in zip(draws, _block_ratios(draws, model, eps)):
+            if ratio is None:
+                n_rejected += 1
+                continue
+            n_accepted += 1
+            if ratio <= 1.0:
+                n_below_one += 1
+            if best_ratio is None or ratio < best_ratio:
+                best_ratio, best_mu, best_arg = ratio, mu, argmax
     if best_mu is None:
         raise ValueError("sampler produced no acceptable child distribution")
 
@@ -440,7 +554,7 @@ def estimate_C_eps(
             trial = _mass_transfer(best_mu, which, src, dst, amount)
         except ValueError:
             continue
-        ratio, argmax = ratio_of(trial)
+        ratio, argmax = _psi_ratio(trial, model, _accepted_utility(trial, eps))
         if ratio is not None and ratio < best_ratio:
             best_ratio, best_mu, best_arg = ratio, trial, argmax
             if ratio <= 1.0:

@@ -10,6 +10,7 @@ counterpart so the inequalities can be tested rather than trusted.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -154,10 +155,10 @@ class CkTable:
     but the float representation of pbar rounds to 1.0 once the constants
     are large, so pbar_log_gap carries ln(1 - pbar) in log space.  It stays
     finite only while the table does: the recursion grows factorially and
-    overflows to inf from m = 84 (for any eps tried), after which
+    overflows to inf from m = 84 (m = 83 for eps <= 0.05), after which
     pbar_log_gap is -inf.  ln_big[k] = ln(big[k]) and ln_neg_pbar_log_gap
     = ln(-pbar_log_gap) are carried in log space, so they stay finite at
-    every m.
+    every m.  The JSON form writes null for every overflowed entry.
     """
 
     eps: float
@@ -172,16 +173,22 @@ class CkTable:
     ln_big: Mapping[int, float]
     ln_neg_pbar_log_gap: float
 
+    @property
+    def first_overflow(self) -> Optional[int]:
+        """Smallest k whose c_k or C_k overflowed to inf, or None."""
+        return min((k for table in (self.little, self.big)
+                    for k, v in table.items() if math.isinf(v)), default=None)
+
     def as_json_dict(self) -> dict:
         return {
             "inputs": {"eps": self.eps, "m": self.m},
             "alpha": self.alpha,
             "c_0": self.c0,
             "D": self.d,
-            "c_k": {str(k): v for k, v in sorted(self.little.items())},
-            "C_k": {str(k): v for k, v in sorted(self.big.items())},
+            "c_k": {str(k): _finite_or_none(v) for k, v in sorted(self.little.items())},
+            "C_k": {str(k): _finite_or_none(v) for k, v in sorted(self.big.items())},
             "pbar": self.pbar,
-            "pbar_log_gap": self.pbar_log_gap,
+            "pbar_log_gap": _finite_or_none(self.pbar_log_gap),
             "ln_C_k": {str(k): v for k, v in sorted(self.ln_big.items())},
             "ln_neg_pbar_log_gap": self.ln_neg_pbar_log_gap,
         }
@@ -233,6 +240,10 @@ def ck_recursion(m: int, eps: float) -> CkTable:
         ln_neg_pbar_log_gap=_log_add(ln_big[k_top],
                                      math.log(3.0 + math.log(2.0))),
     )
+
+
+def _finite_or_none(x: float) -> Optional[float]:
+    return x if math.isfinite(x) else None
 
 
 def _log_add(x: float, y: float) -> float:
@@ -663,8 +674,18 @@ def bound_report(
     adopt_probs: Optional[Sequence[tuple[float, float]]] = None,
     target: float = 0.9,
 ) -> dict:
-    """Assemble the recursion table and optional chi statistics as JSON data."""
+    """Assemble the recursion table and optional chi statistics as JSON data.
+
+    Past the float range the table's entries are null, with one warning
+    that names the first overflowed k.
+    """
     table = ck_recursion(m, eps)
+    if table.first_overflow is not None:
+        warnings.warn(
+            f"c_k and C_k overflow the float range from k = "
+            f"{table.first_overflow} and are written as null, as is "
+            f"pbar_log_gap; ln_C_k and ln_neg_pbar_log_gap carry them in log space",
+            stacklevel=2)
     report = table.as_json_dict()
     report["inputs"]["target"] = target
     report["product_signal_bound"] = product_signal_bound(eps)

@@ -128,16 +128,21 @@ class ExperimentConfig:
             if getattr(self, name) in (None, {}):
                 raise ConfigError(f"{self.kind} needs config field {name!r}")
 
-    def param(self, name, default=None, required=False, convert=None):
+    def param(self, name, default=None, required=False, convert=None,
+              minimum=None):
         """params[name] or default, through convert unless None; a value
-        convert rejects is a ConfigError naming the field."""
+        convert rejects, or that lies below minimum, is a ConfigError
+        naming the field."""
         if required and name not in self.params:
             raise ConfigError(f"{self.kind} needs params.{name}")
         value = self.params.get(name, default)
         try:
-            return value if convert is None or value is None else convert(value)
+            value = value if convert is None or value is None else convert(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"params.{name}: {exc}") from None
+        if minimum is not None and value is not None and value < minimum:
+            raise ConfigError(f"params.{name} must be >= {minimum}, got {value}")
+        return value
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
@@ -225,7 +230,7 @@ def _solve_config(config: ExperimentConfig, stabilize_default=True) -> SolveConf
     return SolveConfig(
         delta=as_fraction(config.delta),
         horizon=config.horizon,
-        max_sweeps=config.param("max_sweeps", 40, convert=as_int),
+        max_sweeps=config.param("max_sweeps", 40, convert=as_int, minimum=1),
         raise_horizon=config.param("stabilize", stabilize_default,
                                    convert=as_bool),
         max_horizon=config.param("max_horizon", 24, convert=as_int),
@@ -344,21 +349,22 @@ def _run_bounds(config: ExperimentConfig, verify: bool) -> _Outcome:
     target = config.param("target", 0.9, convert=float)
     with _section("params"):
         report = bound_report(eps, m, adopt_probs=adopt_probs, target=target)
-    plot = [{"series": "c_k", "x": int(k), "y": v, "ci": ""}
-            for k, v in sorted(report["c_k"].items(), key=lambda kv: int(kv[0]))]
-    plot += [{"series": "C_k", "x": int(k), "y": v, "ci": ""}
-             for k, v in sorted(report["C_k"].items(), key=lambda kv: int(kv[0]))]
+    # Overflowed entries are null in the report and have no plot row.
+    plot = [{"series": series, "x": int(k), "y": v, "ci": ""}
+            for series in ("c_k", "C_k")
+            for k, v in sorted(report[series].items(), key=lambda kv: int(kv[0]))
+            if v is not None]
     ok = True
     chi = report.get("chi")
     if chi is not None and (not chi["applicable"] or chi["violations"]):
         ok = False
     if verify:
-        values = [v for _, v in sorted(report["C_k"].items(),
-                                       key=lambda kv: int(kv[0]))]
-        # The table overflows to inf for very deep recursions; the bound
-        # stays valid there, so only the finite prefix must be strict.
+        big, ln_big = report["C_k"], report["ln_C_k"]
+        ks = sorted(big, key=int)
+        # Past the float range C_k is null; its log carries the comparison.
         report["verify"] = {"C_k_increasing": all(
-            a < b or math.isinf(a) for a, b in zip(values, values[1:]))}
+            big[a] < big[b] if big[b] is not None
+            else ln_big[a] < ln_big[b] for a, b in zip(ks, ks[1:]))}
         ok = ok and report["verify"]["C_k_increasing"]
     return _Outcome(report=report, ok=ok, plot_rows=plot)
 

@@ -258,6 +258,8 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
     """
     if n_reps <= 0:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     deltaf = float(as_fraction(delta))
     if not 0 < deltaf < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -289,7 +291,7 @@ def estimate(network, model: SignalModel, profile, horizon: int, delta,
 
 
 def _shard_ranges(n_reps: int, jobs: int):
-    jobs = max(1, int(jobs))
+    jobs = int(jobs)
     if jobs == 1:
         return [(0, n_reps)]
     per = math.ceil(n_reps / jobs)
@@ -446,8 +448,10 @@ class SigmaRingReport:
     p_hat: float
     ci: float
     p_hat_agents: tuple
-    adopt_rate_high: float   # mean adoption share across agents, state high
-    adopt_rate_low: float
+    # Mean adoption share across agents per state; None when no replication
+    # drew that state.
+    adopt_rate_high: float | None
+    adopt_rate_low: float | None
 
     def rows(self, run_id: str = "run"):
         """CSV rows: run-id, agent, correctness estimate, half-width."""
@@ -511,7 +515,7 @@ def sigma_ring_estimate(n: int, k: int, eta, q, n_reps: int, seed: int,
         reps_by_state[low] += 1
     p_agents = correct / n_reps
     p = float(p_agents[agent])
-    rate_high, rate_low = (adopted / (n * reps) if reps else float("nan")
+    rate_high, rate_low = (adopted / (n * reps) if reps else None
                            for adopted, reps in zip(adopted_by_state, reps_by_state))
     return SigmaRingReport(
         n_agents=n,

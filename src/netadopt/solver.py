@@ -73,6 +73,8 @@ class SolveConfig:
         object.__setattr__(self, "delta", delta)
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.raise_horizon and self.max_horizon < self.horizon:
             raise ValueError(
                 f"max_horizon ({self.max_horizon}) must be >= horizon "

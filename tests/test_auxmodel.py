@@ -58,6 +58,9 @@ def test_mu_validation():
     with pytest.raises(ValueError, match="sum to one"):
         Mu(grid=(Fraction(1, 2), one),
            mass_high=(Fraction(1, 3), Fraction(1, 3)), mass_low=(one, 0))
+    with pytest.raises(ValueError, match="sum to one"):
+        Mu(grid=(0.0, 0.5, 1.0), mass_high=(float("nan"), 0.5, 0.5),
+           mass_low=(0.25, 0.25, 0.5))
 
 
 def test_mu_dominance_rule():

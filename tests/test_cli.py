@@ -7,6 +7,7 @@ stability, and byte-level determinism are the contract under test.
 
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -244,12 +245,16 @@ def test_bounds_kind_reports_recursion_and_plot_series(tmp_path):
     assert series == {"c_k", "C_k"}
 
 
-def test_bounds_kind_writes_strict_json_past_the_overflow(tmp_path):
+def test_bounds_kind_writes_strict_json_past_the_overflow(tmp_path,
+                                                          monkeypatch):
+    shown = shown_warnings(monkeypatch)
     # The recursion table overflows to inf from m = 84.
     payload = {"kind": "bounds", "seed": 1, "params": {"eps": 0.2, "m": 200}}
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
-    assert run(cfg, out=out) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert run(cfg, out=out) == 0
 
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -257,10 +262,15 @@ def test_bounds_kind_writes_strict_json_past_the_overflow(tmp_path):
     json.loads((out / "manifest.json").read_text(), parse_constant=reject)
     report = json.loads((out / "results.json").read_text(),
                         parse_constant=reject)
-    assert report["pbar_log_gap"] == "-Infinity"
-    assert report["C_k"]["402"] == "Infinity"
+    # Overflowed entries are null, and one warning names the first of them.
+    assert report["pbar_log_gap"] is None
+    assert report["C_k"]["402"] is None
     assert math.isfinite(report["C_k"]["2"])
-    assert float(report["C_k"]["402"]) == math.inf
+    assert report["ln_C_k"]["402"] > math.log(sys.float_info.max)
+    assert report["warnings"] == shown == [
+        "c_k and C_k overflow the float range from k = 169 and are written "
+        "as null, as is pbar_log_gap; ln_C_k and ln_neg_pbar_log_gap carry "
+        "them in log space"]
     # the log-space copies keep the values the overflow loses
     assert math.isfinite(report["ln_C_k"]["402"])
     assert report["ln_neg_pbar_log_gap"] >= report["ln_C_k"]["402"]

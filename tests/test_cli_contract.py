@@ -3,16 +3,21 @@
 Every config goes through main() in-process.  Whatever it holds, the run
 must exit 0, 2 or 3 without raising; exit 2 prints one "error:" line that
 names the config field or the file at fault, and exits 0 and 3 leave strict-JSON artifacts whose verdict matches the exit
-code.  Sizes stay small: at most 6 agents, 20 replications and horizon 5.
+code and hold no NaN or infinity.  Sizes stay small: at most 6 agents, 20
+replications and horizon 5.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
+import os
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -74,7 +79,8 @@ PARAMS = {
     "target": ((0.9, 0.2), ("x",)),
     "sampler_delta": ((0.5, 0.9), (0, "x")),
     "adopt_probs": (([[0.75, 0.25], [0.6, 0.4]],), ([[1, 0]], "x", [[0.5]])),
-    "mu": ((MU,), ({**MU, "grid": ["0", "1"]}, {"grid": []}, "x")),
+    "mu": ((MU,), ({**MU, "grid": ["0", "1"]}, {"grid": []}, "x",
+                   {**MU, "mass_high": [float("nan"), 0.5, 0.5]})),
 }
 
 
@@ -118,17 +124,60 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# How the strict-JSON writer spells a non-finite float.
+NON_FINITE_NAMES = {"NaN", "Infinity", "-Infinity"}
+
+
+def _finite_json(value, where="results.json"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _finite_json(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _finite_json(item, f"{where}[{k}]")
+    else:
+        assert value not in NON_FINITE_NAMES, where
+        assert not isinstance(value, float) or math.isfinite(value), where
+
+
+def _assert_finite_artifacts(out):
+    """No NaN or infinity in results.json, results.csv or plotdata.csv."""
+    _finite_json(_strict((out / "results.json").read_text()))
+    for name in ("results.csv", "plotdata.csv"):
+        if not (out / name).exists():
+            continue
+        for row in csv.reader((out / name).read_text().splitlines()):
+            for field in row:
+                try:
+                    number = float(field)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (name, row)
+
+
+def _starts_workers(raw):
+    """Whether the config's own jobs value would start worker processes."""
+    jobs = raw.get("jobs")
+    return isinstance(jobs, int) and not isinstance(jobs, bool) and jobs > 1
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(configs(), st.booleans())
-def test_random_configs_keep_the_cli_contract(raw, verify):
+@given(configs(), st.booleans(), st.booleans())
+def test_random_configs_keep_the_cli_contract(raw, verify, jobs_flag):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(raw))
         out = Path(tmp) / "out"
-        argv = ["--config", str(path), "--out", str(out), "--jobs", "1"]
+        argv = ["--config", str(path), "--out", str(out)]
+        # Without the flag the config's own jobs value, valid or not, reaches
+        # the config parser; the flag stays where it would start workers.
+        if jobs_flag or _starts_workers(raw):
+            argv += ["--jobs", "1"]
         err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ):
+            os.environ.pop("SDL_JOBS", None)
             warnings.simplefilter("ignore")
             code = main(argv + ["--verify"] if verify else argv)
         lines = err.getvalue().splitlines()
@@ -138,6 +187,7 @@ def test_random_configs_keep_the_cli_contract(raw, verify):
             assert NAMES_A_FIELD.search(lines[0]), lines[0]
             return
         assert lines == []
+        _assert_finite_artifacts(out)
         report = _strict((out / "results.json").read_text())
         manifest = _strict((out / "manifest.json").read_text())
         assert report["ok"] is manifest["ok"] is (code == 0)
@@ -155,10 +205,13 @@ BASE = {"kind": "simulate", "seed": 3, "network": {"line": {"n": 4}},
 def _exit_and_error(tmp_path, **fields):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE, **fields}))
+    # A jobs field is left for the config parser to read.
+    flag = [] if "jobs" in fields else ["--jobs", "1"]
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["--config", str(path), "--out", str(tmp_path / "out"),
-                     "--jobs", "1"])
+    with contextlib.redirect_stderr(err), mock.patch.dict(os.environ):
+        os.environ.pop("SDL_JOBS", None)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")]
+                    + flag)
     return code, err.getvalue()
 
 
@@ -221,6 +274,15 @@ def _exit_and_error(tmp_path, **fields):
      "network.star.directed: must be true or false"),
     ({"kind": "solve", "params": {"stabilize": "false"}},
      "params.stabilize: must be true or false, got 'false'"),
+    ({"jobs": 0}, "error: jobs must be >= 1, got 0"),
+    ({"jobs": -3}, "error: jobs must be >= 1, got -3"),
+    ({"jobs": True}, "error: jobs must be an integer, got True"),
+    ({"jobs": "x"}, "error: jobs"),
+    ({"kind": "solve", "params": {"max_sweeps": 0}},
+     "error: params.max_sweeps must be >= 1, got 0"),
+    ({"kind": "auxmodel", "params": {"mu": {
+        **MU, "mass_high": [float("nan"), 0.5, 0.5]}}},
+     "params.mu: masses must sum to one"),
 ])
 def test_bad_config_fields_are_named(tmp_path, fields, named):
     code, err = _exit_and_error(tmp_path, **fields)
@@ -262,3 +324,18 @@ def test_relay_protocol_on_a_star_names_the_network_it_needs(tmp_path):
         strategy={"sigma": {"eta": 0.5, "k": 3}})
     assert code == 2
     assert "labeled line or ring" in err, err
+
+
+@pytest.mark.parametrize("m", [84, 90, 200])
+def test_bounds_past_the_overflow_write_only_finite_numbers(tmp_path, m):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "bounds", "seed": 1,
+                                "params": {"eps": 0.2, "m": m}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(path), "--out", str(out),
+                     "--verify"]) == 0
+    _assert_finite_artifacts(out)
+    rows = (out / "plotdata.csv").read_text().splitlines()[1:]
+    assert rows and len(rows) < 2 * (2 * m + 2) + 1  # overflowed rows left out

@@ -362,6 +362,14 @@ def test_estimate_validation():
         estimate(net, MODEL, myopic_rule(MODEL), 2, 1.0, 5, 1)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 0.5])
+def test_estimate_refuses_jobs_below_one(jobs):
+    # The CLI exits 2 on these; the library must not run one shard instead.
+    with pytest.raises(ValueError, match=r"need jobs >= 1"):
+        estimate(build_line(2), MODEL, myopic_rule(MODEL), 2, 0.9, 5, 1,
+                 jobs=jobs)
+
+
 def test_outsider_posterior_balance():
     net = build_line(2)
     trace = run_profile(net, MODEL, myopic_rule(MODEL), horizon=1,

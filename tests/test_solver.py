@@ -35,6 +35,8 @@ def test_solve_config_validation():
         SolveConfig(delta=Fraction(1), horizon=2)
     with pytest.raises(ValueError, match="horizon"):
         SolveConfig(delta=Fraction(1, 2), horizon=-1)
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1, got 0"):
+        SolveConfig(delta=Fraction(1, 2), horizon=2, max_sweeps=0)
     with pytest.raises(ValueError, match="max_horizon"):
         SolveConfig(delta=Fraction(1, 2), horizon=5, raise_horizon=True,
                     max_horizon=3)
