@@ -165,15 +165,15 @@ def w_mu(mu: Mu, model: SignalModel, a: RootStrategySpec):
     consistency tests check.
     """
     k = mu.grid.index(_snap_r(mu, a.r))
-    return _values_on_grid(mu, model, [k])[a.family - 1][0]
+    return _values_on_grid([mu], model, [k])[a.family - 1].item()
 
 
-# Most elements a (switch time x pair) temporary holds: switch times are
-# taken in blocks of this many elements, or one row at a time.
-_BLOCK_ELEMENTS = 1 << 16
+# Most elements a (law x switch time x pair) temporary holds: switch times
+# are taken in blocks of this many elements, or one row at a time.
+_BLOCK_ELEMENTS = 1 << 14
 # Draws estimate_C_eps takes from its sampler before scoring them: the
-# block's accepted float laws on one grid share one padded array pass, and
-# the block bounds the memory that pass and the held draws use.
+# block's accepted float laws on one grid share one _values_on_grid call,
+# and the block bounds the memory that call and the held draws use.
 _DRAW_BLOCK = 64
 
 
@@ -182,113 +182,63 @@ def _is_float(mu: Mu) -> bool:
                for values in (mu.grid, mu.mass_high, mu.mass_low) for x in values)
 
 
-def _switch_rows(ks, n_points: int) -> np.ndarray:
-    """Switch-time indices ks, then one more row at the last grid point, 1.
+def _values_on_grid(mus: Sequence[Mu], model: SignalModel, ks) -> tuple:
+    """w_mu of family 1 and of family 2 at each switch time grid[k], per law.
 
-    There family 2 always copies child 1: that row is also its
-    low-own-signal branch, which does not depend on r.
+    mus are float laws on one grid, or a single law of any type; each
+    family's values are an array of shape (laws, len(ks)).  Each state's
+    value sums p * (1 - act) over the pairs (i, j) of grid points where any
+    law has nonzero mass, p the law's mass product and act the root's
+    adoption time.  One (switch time x pair) table of act's grid index per
+    family gives every switch time at once.  cumsum adds each row left to
+    right in the row-major pair order of a double loop over the grid, so
+    float values are bit-identical to that loop over the law's own nonzero
+    pairs: where a law has zero mass, p * (1 - act) is a signed zero, and
+    adding it leaves a float sum's bits unchanged.  A law with any
+    non-float entry uses object arrays, which keep Python's arithmetic and
+    stay exact; it is scored alone, because padding it would move where a
+    Fraction partial sum turns into a float.  O(L * G * P) work for L laws,
+    G switch times and P pairs, in blocks of bounded memory.
     """
-    return np.array(list(ks) + [n_points - 1], dtype=np.intp)
-
-
-def _act_indices(i, j, k) -> tuple:
-    """Grid index of the root's adoption time under family 1 and family 2.
-
-    Rows are switch-time indices k (a column), columns the pairs (i, j) of
-    the children's grid indices.  The grid ascends, so t > r is i > k.
-    """
-    late, j_late = i > k, j > k
-    return (np.where(late, i, np.where(j_late, j, k)),
-            # High own signal: adopt at r when only child 2 has adopted.
-            np.where(j_late, i, np.where(late, k, i)))
-
-
-def _family_weights(model: SignalModel, is_float: bool) -> list:
-    """Likelihoods of a high and of a not-high own signal, per state."""
+    is_float = all(_is_float(mu) for mu in mus)
+    if not is_float and len(mus) > 1:
+        raise ValueError("only float laws are scored together")
+    dtype = float if is_float else object
+    grid = mus[0].grid
+    one_minus = np.array([1 - t for t in grid], dtype=dtype)
+    # One more row at the last grid point, 1: there family 2 always copies
+    # child 1, which is also its low-own-signal branch, whatever r is.
+    rows = np.array(list(ks) + [len(grid) - 1], dtype=np.intp)
+    branches = []
+    for masses in ([mu.mass_high for mu in mus], [mu.mass_low for mu in mus]):
+        m = np.array(masses, dtype=dtype)
+        keep = (m != 0).any(axis=0)
+        i, j = np.divmod(np.flatnonzero(keep[:, None] & keep), len(grid))
+        p = (m[:, i] * m[:, j])[:, None, :]
+        sums = np.empty((2, len(mus), len(rows)), dtype=dtype)
+        step = max(1, _BLOCK_ELEMENTS // p.size)
+        for start in range(0, len(rows), step):
+            k = rows[start:start + step, None]
+            # The grid ascends, so t > r is i > k.
+            late, j_late = i > k, j > k
+            acts = (np.where(late, i, np.where(j_late, j, k)),
+                    # High own signal: adopt at r when only child 2 has adopted.
+                    np.where(j_late, i, np.where(late, k, i)))
+            for total, act in zip(sums, acts):
+                total[:, start:start + step] = np.cumsum(
+                    p * one_minus[act], axis=-1)[..., -1]
+        branches.append(sums)
+    (high_1, high_2), (low_1, low_2) = branches
     p_high, p_low = _signal_split(model)
     weights = [p_high, 1 - p_high, p_low, 1 - p_low]
     # Fraction * float is float(Fraction) * float: the same bits.
-    return [float(w) for w in weights] if is_float else weights
-
-
-def _family_values(high, low, weights) -> tuple:
-    """Both families' values from each state's sums over _switch_rows.
-
-    high and low hold the (family 1, family 2) sums, switch times along the
-    last axis; family 2 mixes its r row with the last row by the own
-    signal's likelihoods.
-    """
-    (high_1, high_2), (low_1, low_2) = high, low
-    p_high, q_high, p_low, q_low = weights
-    return (high_1[..., :-1] - low_1[..., :-1],
-            (p_high * high_2[..., :-1] + q_high * high_2[..., -1:])
-            - (p_low * low_2[..., :-1] + q_low * low_2[..., -1:]))
-
-
-def _values_on_grid(mu: Mu, model: SignalModel, ks) -> tuple:
-    """w_mu of family 1 and of family 2 at each switch time mu.grid[k].
-
-    Each state's value sums p * (1 - act) over the pairs (i, j) of
-    nonzero-mass grid points, p the pair's mass product and act the root's
-    adoption time.  One (switch time x pair) table of act's grid index per
-    state and family gives every switch time at once.  cumsum adds each row
-    left to right in the row-major pair order of a double loop over the
-    grid, so float values are bit-identical to that loop; a law with any
-    non-float entry uses object arrays, which keep Python's arithmetic and
-    stay exact.  O(G * P) work for G switch times and P pairs, in blocks of
-    bounded memory.
-    """
-    is_float = _is_float(mu)
-    dtype = float if is_float else object
-    one_minus = np.array([1 - t for t in mu.grid], dtype=dtype)
-    rows = _switch_rows(ks, mu.n_points)
-    branches = []
-    for masses in (mu.mass_high, mu.mass_low):
-        nz = [i for i, x in enumerate(masses) if x]
-        i = np.repeat(nz, len(nz))
-        j = np.tile(nz, len(nz))
-        m = np.array(masses, dtype=dtype)
-        p = np.take(m, i) * np.take(m, j)
-        sums = np.empty((2, len(rows)), dtype=dtype)
-        step = max(1, _BLOCK_ELEMENTS // len(p))
-        for start in range(0, len(rows), step):
-            acts = _act_indices(i, j, rows[start:start + step, None])
-            for total, act in zip(sums, acts):
-                total[start:start + step] = np.cumsum(
-                    p * np.take(one_minus, act), axis=1)[:, -1]
-        branches.append(sums)
-    values = _family_values(*branches, _family_weights(model, is_float))
-    return tuple(v.tolist() for v in values)
-
-
-def _padded_values(mus: Sequence[Mu], model: SignalModel) -> np.ndarray:
-    """Both families' values at every switch time, for float laws on one grid.
-
-    Row b holds law b's family 1 values, then its family 2 values, as psi
-    scans them.  Every law is padded to all G * G pairs of the grid in
-    row-major order.  A pair with a zero mass adds p * (1 - act) with
-    p = +-0.0 and 1 - act >= 0, a signed zero that leaves a float sum's
-    bits unchanged; so adding the pair columns left to right gives each law
-    the sums of its own _values_on_grid call, bit for bit.  Memory is
-    O(laws * G), one row of pair products at a time.
-    """
-    n = mus[0].n_points
-    i = np.repeat(np.arange(n), n)
-    j = np.tile(np.arange(n), n)
-    one_minus = np.array([1 - t for t in mus[0].grid])
-    # Family 1 rows, then family 2 rows; one column per pair.
-    om = np.take(one_minus, np.concatenate(
-        _act_indices(i, j, _switch_rows(range(n), n)[:, None])))
-    # High-state laws in the top rows, low-state laws below.
-    m = np.array([mu.mass_high for mu in mus] + [mu.mass_low for mu in mus])
-    total = np.zeros((len(m), len(om)))
-    for a in range(n):
-        p = m[:, a:a + 1] * m  # the products of the pairs (a, 0..G-1)
-        for b in range(n):
-            total += p[:, b:b + 1] * om[:, a * n + b]
-    high, low = (np.split(half, 2, axis=1) for half in np.split(total, 2))
-    return np.concatenate(
-        _family_values(high, low, _family_weights(model, True)), axis=1)
+    p_high, q_high, p_low, q_low = (
+        [float(w) for w in weights] if is_float else weights)
+    # Family 2 mixes its r row with the last row by the own signal's
+    # likelihoods.
+    return (high_1[:, :-1] - low_1[:, :-1],
+            (p_high * high_2[:, :-1] + q_high * high_2[:, -1:])
+            - (p_low * low_2[:, :-1] + q_low * low_2[:, -1:]))
 
 
 @dataclass(frozen=True)
@@ -306,11 +256,12 @@ def psi(mu: Mu, model: SignalModel, r_grid: Optional[Sequence] = None) -> PsiRes
     restricting the search to the support loses nothing for atomic
     distributions because the family rules only compare times against r.
 
-    One call of _values_on_grid evaluates both families at every candidate
-    switch time, O(G * P) work for G candidates and P pairs of nonzero
-    masses in blocks of bounded memory.  Float values are bit-identical to
-    evaluating each switch time on its own with a double loop over the
-    grid; the first candidate wins ties, family 1 before family 2.
+    One _values_on_grid call on this law alone evaluates both families at
+    every candidate switch time, O(G * P) work for G candidates and P pairs
+    of nonzero masses in blocks of bounded memory.  Float values are
+    bit-identical to evaluating each switch time on its own with a double
+    loop over the grid; the first candidate wins ties, family 1 before
+    family 2.
     """
     if r_grid is None:
         points = list(enumerate(mu.grid))
@@ -323,7 +274,8 @@ def psi(mu: Mu, model: SignalModel, r_grid: Optional[Sequence] = None) -> PsiRes
         missing = [r for k, r in points if k is None]
         if missing:
             raise ValueError(f"switch times {missing} are not on the support grid")
-    values = _values_on_grid(mu, model, [k for k, _ in points])
+    values = [v[0].tolist()
+              for v in _values_on_grid([mu], model, [k for k, _ in points])]
     best = None
     for family, family_values in zip((1, 2), values):
         for value, (_, r) in zip(family_values, points):
@@ -459,8 +411,9 @@ def _block_ratios(draws, model: SignalModel, eps) -> list:
     """(psi/u ratio, argmax) of each draw in order; (None, None) if rejected.
 
     A draw is None when the sampler raised.  The accepted float laws that
-    share a grid are scored together by _padded_values, whose first-maximum
-    argmax is psi's tie order; every other accepted law goes through psi.
+    share a grid are scored by one _values_on_grid call, over the union of
+    their nonzero pairs; np.argmax takes the first maximum, psi's tie order.
+    Every other accepted law goes through psi, one at a time.
     """
     out = [(None, None)] * len(draws)
     by_grid = {}
@@ -474,8 +427,10 @@ def _block_ratios(draws, model: SignalModel, eps) -> list:
             out[b] = _psi_ratio(mu, model, util)
     for members in by_grid.values():
         laws = [draws[b] for b, _ in members]
-        values = _padded_values(laws, model)
         n_points = laws[0].n_points
+        # Row b: law b's family 1 values, then its family 2 values.
+        values = np.concatenate(
+            _values_on_grid(laws, model, range(n_points)), axis=1)
         for (b, util), row, mu in zip(members, values, laws):
             best = int(np.argmax(row))
             family, k = divmod(best, n_points)
@@ -504,8 +459,8 @@ def estimate_C_eps(
 
     Only the sampler reads rng, so the sample is drawn _DRAW_BLOCK draws
     at a time, in order from the same stream, and each block is scored by
-    _block_ratios: one padded array pass per grid for its float laws, psi
-    for the rest, every ratio bit-identical to psi's.  The block is then
+    _block_ratios: one evaluator call per grid for its float laws, psi for
+    the rest, every ratio bit-identical to psi's.  The block is then
     scanned in draw order with the same rule, so the first smallest ratio
     wins.  The descent draws between its evaluations and calls psi once per
     trial law.

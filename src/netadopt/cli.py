@@ -486,6 +486,11 @@ _HANDLERS = {
 KINDS = tuple(_HANDLERS)
 
 
+def _refuse_constant(token):
+    """json.load hook for the non-standard NaN, Infinity and -Infinity."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def run(config_path, *, seed=None, out=None, jobs=None, verify=False) -> int:
     """Execute one experiment config and write its artifacts.
 
@@ -495,8 +500,8 @@ def run(config_path, *, seed=None, out=None, jobs=None, verify=False) -> int:
     started = time.monotonic()
     try:
         with open(config_path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     if isinstance(raw, dict):

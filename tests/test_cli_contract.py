@@ -280,14 +280,52 @@ def _exit_and_error(tmp_path, **fields):
     ({"jobs": "x"}, "error: jobs"),
     ({"kind": "solve", "params": {"max_sweeps": 0}},
      "error: params.max_sweeps must be >= 1, got 0"),
-    ({"kind": "auxmodel", "params": {"mu": {
-        **MU, "mass_high": [float("nan"), 0.5, 0.5]}}},
-     "params.mu: masses must sum to one"),
 ])
 def test_bad_config_fields_are_named(tmp_path, fields, named):
     code, err = _exit_and_error(tmp_path, **fields)
     assert code == 2
     assert err.startswith("error: ") and named in err, err
+
+
+NAN, INF = float("nan"), float("inf")
+BOUNDS = {"kind": "bounds", "params": {"eps": 0.1, "m": 3}}
+
+
+# json.dumps writes these floats as the non-standard NaN, Infinity and
+# -Infinity tokens, which the config reader must refuse.
+@pytest.mark.parametrize("fields", [
+    {"delta": NAN}, {"delta": INF}, {"delta": -INF},
+    {**BOUNDS, "params": {**BOUNDS["params"], "target": NAN}},
+    {**BOUNDS, "params": {**BOUNDS["params"], "target": INF}},
+    {**BOUNDS, "params": {**BOUNDS["params"], "target": -INF}},
+    {"kind": "auxmodel", "params": {"mu": {**MU, "mass_high": [NAN, 0.5, 0.5]}}},
+    {**BOUNDS, "params": {**BOUNDS["params"], "adopt_probs": [[NAN, 0.5]]}},
+    {**BOUNDS, "params": {**BOUNDS["params"], "adopt_probs": [[0.5, INF]]}},
+    {**BOUNDS, "params": {**BOUNDS["params"], "adopt_probs": [[-INF, 0.5]]}},
+], ids=["delta-NaN", "delta-Infinity", "delta--Infinity",
+        "params.target-NaN", "params.target-Infinity",
+        "params.target--Infinity", "params.mu-NaN", "adopt_probs-NaN",
+        "adopt_probs-Infinity", "adopt_probs--Infinity"])
+def test_non_finite_tokens_in_a_config_are_refused(tmp_path, fields):
+    code, err = _exit_and_error(tmp_path, **fields)
+    token = next(t for t in ("-Infinity", "Infinity", "NaN")
+                 if t in (tmp_path / "cfg.json").read_text())
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: cannot read config: {token} is not a JSON number"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: cannot read config: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs, flags, env", [

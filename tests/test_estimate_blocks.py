@@ -3,7 +3,7 @@
 estimate_loop below is how estimate_C_eps used to run: draw a law, test it,
 score it with psi, keep the first smallest ratio, then descend.  The
 function now draws a block of laws first and scores the block's accepted
-float laws on one grid in one padded array pass, so every ratio, and with
+float laws on one grid in one evaluator call, so every ratio, and with
 them the whole CUpperEstimate, must keep its repr.
 """
 
@@ -182,7 +182,8 @@ def test_each_ratio_of_a_mixed_block_keeps_its_repr(model):
 
 def test_ties_keep_the_first_maximum_and_the_first_minimum():
     for mu in TIED:
-        values = auxmodel._values_on_grid(mu, BINARY, range(mu.n_points))
+        values = [v[0].tolist() for v in auxmodel._values_on_grid(
+            [mu], BINARY, range(mu.n_points))]
         flat = values[0] + values[1]
         assert flat.count(max(flat)) == 2
     # Equal laws on grids that differ only in the sign of their first point:
@@ -199,6 +200,65 @@ def test_ties_keep_the_first_maximum_and_the_first_minimum():
                              rng=np.random.default_rng(1), descent_steps=0)
         assert repr(got.minimizer.grid[0]) == repr(twins[first].grid[0])
         assert got.n_accepted == 10
+
+
+def _law_on_support(rng, grid, signed):
+    """A float law on grid whose masses sit on a random subset of points."""
+    n = len(grid)
+    if rng.random() < 0.25:  # one nonzero high-state mass
+        k = int(rng.integers(0, n))
+        high = np.zeros(n)
+        high[k] = 1.0
+    else:
+        support = rng.random(n) < rng.uniform(0.2, 1.0)
+        support[int(rng.integers(0, n))] = True
+        high = np.zeros(n)
+        high[support] = rng.dirichlet(np.ones(support.sum()))
+    low = high * rng.random(n) * (rng.random(n) < 0.7)
+    low[-1] = 1.0 - low[:-1].sum()
+    zero = -0.0 if signed else 0.0
+    return Mu(grid=grid, **{name: tuple(zero if x == 0 else float(x)
+                                        for x in masses)
+                            for name, masses in (("mass_high", high),
+                                                 ("mass_low", low))})
+
+
+@pytest.mark.parametrize("model", [BINARY, THREE_ATOMS],
+                         ids=["binary", "three-atoms"])
+def test_a_batch_gives_each_law_its_own_bits(model):
+    rng = np.random.default_rng(29)
+    laws = [_law_on_support(rng, GRID_A, signed=b % 2 == 1)
+            for b in range(60)]
+    supports = {tuple(x != 0 for x in mu.mass_high + mu.mass_low)
+                for mu in laws}
+    assert len(supports) > 40
+    assert any(sum(x != 0 for x in mu.mass_high) == 1 for mu in laws)
+    n = len(GRID_A)
+    for ks in (range(n), [3, 0, n - 1, 3]):
+        batch = auxmodel._values_on_grid(laws, model, ks)
+        for b, mu in enumerate(laws):
+            alone = auxmodel._values_on_grid([mu], model, ks)
+            for family in (0, 1):
+                assert ([x.hex() for x in batch[family][b].tolist()]
+                        == [x.hex() for x in alone[family][0].tolist()])
+
+
+def test_only_float_laws_are_scored_together():
+    dyadic, other = TIED[:2]
+    exact = Mu(grid=tuple(map(Fraction, dyadic.grid)),
+               mass_high=tuple(map(Fraction, dyadic.mass_high)),
+               mass_low=tuple(map(Fraction, dyadic.mass_low)))
+    mixed = Mu(grid=other.grid,
+               mass_high=(Fraction(1, 4),) + other.mass_high[1:],
+               mass_low=other.mass_low)
+    for laws in ([exact, exact], [exact, mixed], [dyadic, exact],
+                 [mixed, other]):
+        with pytest.raises(ValueError, match="only float laws"):
+            auxmodel._values_on_grid(laws, BINARY, range(3))
+    # Alone, the exact law keeps Python's arithmetic and stays exact.
+    alone = auxmodel._values_on_grid([exact], BINARY, range(3))
+    assert all(type(x) is Fraction for v in alone for x in v[0].tolist())
+    assert auxmodel._values_on_grid([mixed], BINARY, range(3))[0].shape == (1, 3)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])

@@ -1,9 +1,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netadopt.networks import (
     Network,
+    StructureReport,
     analyze,
     build_directed_tree,
     build_line,
@@ -131,3 +134,68 @@ def test_replaced_edges_give_new_neighbors():
     assert line.out_neighbors(1) == (0,) and line.in_neighbors(1) == (2,)
     with pytest.raises(KeyError):  # an agent outside 0..n-1 does not wrap
         flipped.out_neighbors(-1)
+
+
+@st.composite
+def networks(draw):
+    """Random directed or undirected networks of 0-12 agents, often trees."""
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+                if pairs else [])
+    if draw(st.booleans()):
+        # A tree: each agent after 0 joins one earlier agent, either way
+        # round; then at most two of the random edges on top.
+        tree = set()
+        for v in range(1, n):
+            edge = (v, draw(st.integers(0, v - 1)))
+            tree.add(edge if draw(st.booleans()) else edge[::-1])
+        edges = tree | set(sorted(edges)[:draw(st.integers(0, 2))])
+    if draw(st.booleans()):
+        edges |= {(j, i) for i, j in edges}
+    leaves = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return Network(n=n, edges=frozenset(edges),
+                   infinite_leaves=frozenset(leaves))
+
+
+def _reference_structure(net):
+    """analyze's report by plain search over the symmetrized edges."""
+    nbrs = {v: set() for v in range(net.n)}
+    for i, j in net.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    seen, stack = set(), [0] if net.n else []
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(nbrs[v] - seen)
+    connected = net.n > 0 and len(seen) == net.n
+    # Acyclic: no undirected edge joins two agents already joined.
+    root = list(range(net.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    acyclic = True
+    for i, j in {tuple(sorted(e)) for e in net.edges}:
+        a, b = find(i), find(j)
+        acyclic = acyclic and a != b
+        root[a] = b
+    degrees = [len(nbrs[v]) for v in range(net.n)]
+    return StructureReport(
+        is_undirected=all((j, i) in net.edges for i, j in net.edges),
+        is_tree=connected and acyclic,
+        branching_excess=1 + sum(d - 2 for d in degrees if d > 2),
+        ends=sum(1 for v in net.infinite_leaves if degrees[v] == 1),
+        max_degree=max(degrees, default=0),
+        connected=connected,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks())
+def test_analyze_matches_a_plain_search(net):
+    assert analyze(net) == _reference_structure(net)

@@ -135,7 +135,8 @@ def _dense_law(n_points, delta, seed):
 
 
 def test_a_forty_point_law_matches_the_double_loop():
-    # 1600 pairs: 40 switch-time rows per block, so 41 rows take two blocks.
+    # 1600 pairs: fewer switch-time rows per block than the law's 41, so
+    # the rows take several blocks.
     mu = _dense_law(40, 0.95, seed=9)
     assert auxmodel._BLOCK_ELEMENTS // 1600 < mu.n_points + 1
     _check(mu, MODELS[0])
